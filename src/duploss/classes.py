@@ -8,7 +8,11 @@ downward under pattern containment, so it is also the avoider set of a basis
 of minimal forbidden patterns; for p = 1 that basis has a closed form.
 
 Exhaustive operations breadth-first-search the successor relation from the
-identity, with one memoized search per (size, effective width) pair.  They
+identity, with one memoized search per (size, effective width) pair.  Each
+state's successors come from the step effects compiled once per (size,
+width) in ``steps``; the memo keeps every BFS layer as a list of
+``Permutation``s built once, when their states are found, so a class at
+budget p is the union of the first p + 1 layers.  The operations
 refuse sizes beyond a cap (default 10, overridable via the DUPLOSS_ENUM_CAP
 environment variable or a ``cap`` argument) since S_11 and up are beyond desk
 scale.
@@ -22,7 +26,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InfiniteWidthError, InvalidWidthError
-from .permutation import Permutation, contains_pattern, delete
+from .permutation import Permutation, all_permutations, contains_pattern, delete
 from .steps import successor_values
 
 __all__ = [
@@ -92,9 +96,11 @@ def _check_cap(n: int, cap: int | None) -> None:
 class _LayeredSearch:
     """Breadth-first layers of the successor relation from identity(n).
 
-    ``dist`` maps each visited one-line tuple to its step distance; layers are
-    expanded on demand and kept, so later queries at the same (n, width) reuse
-    all earlier work.
+    ``dist`` maps each visited one-line tuple to its step distance, and
+    ``layers[d]`` lists the states at distance d as ``Permutation``s, each
+    built once, when its state is found.  Layers are expanded on demand and
+    kept, so later queries at the same (n, width) reuse all earlier work; an
+    empty last layer means the search is exhausted.
     """
 
     def __init__(self, n: int, width: int):
@@ -102,35 +108,43 @@ class _LayeredSearch:
         self.width = width
         start = tuple(range(1, n + 1))
         self.dist: dict[tuple[int, ...], int] = {start: 0}
-        self.frontier: list[tuple[int, ...]] = [start]
-        self.depth = 0
+        self.layers: list[list[Permutation]] = [[Permutation._unchecked(start)]]
+
+    @property
+    def depth(self) -> int:
+        return len(self.layers) - 1
 
     def _expand_layer(self) -> None:
-        nxt = []
         dist = self.dist
-        depth = self.depth + 1
-        for state in self.frontier:
-            for succ in successor_values(state, self.width):
-                if succ not in dist:
-                    dist[succ] = depth
-                    nxt.append(succ)
-        self.frontier = nxt
-        self.depth = depth
+        depth = len(self.layers)
+        width = self.width
+        make = Permutation._unchecked
+        layer = []
+        for perm in self.layers[-1]:
+            # Successors are position maps applied to a permutation, hence
+            # permutations themselves; only unseen ones are built.
+            for succ in successor_values(perm.values, width).difference(dist):
+                dist[succ] = depth
+                layer.append(make(succ))
+        self.layers.append(layer)
 
     def ensure_depth(self, depth: int) -> None:
-        while self.depth < depth and self.frontier:
+        while self.depth < depth and self.layers[-1]:
             self._expand_layer()
 
     def distance(self, state: tuple[int, ...]) -> int:
         """Minimal step count to ``state``; expands until found."""
         while state not in self.dist:
-            if not self.frontier:
-                raise RuntimeError(f"state {state} unreachable at width {self.width}")
+            if not self.layers[-1]:
+                raise InvalidWidthError(
+                    f"state {state} unreachable at width {self.width}; "
+                    "widths below 2 reach only the identity"
+                )
             self._expand_layer()
         return self.dist[state]
 
     def within(self, state: tuple[int, ...], budget: int) -> bool:
-        while state not in self.dist and self.depth < budget and self.frontier:
+        while state not in self.dist and self.depth < budget and self.layers[-1]:
             self._expand_layer()
         return self.dist.get(state, budget + 1) <= budget
 
@@ -154,9 +168,7 @@ def enumerate_class(spec: ClassSpec, n: int, cap: int | None = None) -> frozense
     _check_cap(n, cap)
     search = _search(n, spec.effective_width(n))
     search.ensure_depth(spec.budget)
-    return frozenset(
-        Permutation(state) for state, d in search.dist.items() if d <= spec.budget
-    )
+    return frozenset(itertools.chain.from_iterable(search.layers[: spec.budget + 1]))
 
 
 def is_member(perm: Permutation, spec: ClassSpec, cap: int | None = None) -> bool:
@@ -238,17 +250,12 @@ def minimal_forbidden_basis(
     for n in range(1, max_size + 1):
         members = enumerate_class(spec, n, cap)
         smaller = enumerate_class(spec, n - 1, cap) if n > 1 else frozenset()
-        for candidate in _all_perms(n):
+        for candidate in all_permutations(n):
             if candidate in members:
                 continue
             if all(delete(candidate, pos) in smaller for pos in range(1, n + 1)):
                 minimal.append(candidate)
     return PatternBasis(frozenset(minimal), True, "brute-force")
-
-
-def _all_perms(n: int):
-    for vals in itertools.permutations(range(1, n + 1)):
-        yield Permutation(vals)
 
 
 def basis_to_json(

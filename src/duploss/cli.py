@@ -12,6 +12,11 @@ Subcommands:
 
 Permutations are given in comma-separated one-line form, e.g. "5,2,4,3,1,6".
 The exhaustive-search size cap can be overridden with DUPLOSS_ENUM_CAP.
+
+Exit codes: 0 on success, 1 when a verify suite fails, 2 on a usage error
+or a library error.  A library error (a DupLossError, such as a repeated
+value in --perm) is reported as the single stderr line
+"duploss: <ErrorClass>: <message>", without a traceback.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .classes import (
     minimal_forbidden_basis,
     one_step_basis,
 )
+from .errors import DupLossError
 from .permutation import parse_one_line
 from .scenarios import (
     SubWindowTarget,
@@ -213,7 +219,11 @@ def main(argv: list[str] | None = None) -> int:
         if not args.theorem and args.max_size is None:
             print("class basis needs --max-size (or --theorem)", file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DupLossError as exc:
+        print(f"duploss: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

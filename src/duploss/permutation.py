@@ -65,6 +65,15 @@ class Permutation:
             seen[v - 1] = True
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _unchecked(cls, values: tuple[int, ...]) -> Permutation:
+        """Wrap a tuple already known to be a permutation of 1..n, skipping
+        validation.  Only for producers whose output is a permutation by
+        construction, such as position maps applied to the identity."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "values", values)
+        return perm
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 

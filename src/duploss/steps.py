@@ -11,6 +11,7 @@ keep-everything / keep-nothing masks are legal no-ops.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import WindowOutOfRangeError
@@ -81,36 +82,36 @@ def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
 
 
 @functools.lru_cache(maxsize=None)
-def _step_templates(n: int, width_limit: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Effect templates (start0, width, output offset order) for all steps of
-    width <= width_limit on size-n permutations, skipping the no-op masks.
+def _effects(n: int, width: int) -> tuple[operator.itemgetter, ...]:
+    """The distinct effects of all steps of width <= ``width`` on size-n
+    permutations, each compiled to an ``operator.itemgetter`` over its
+    position map (output position i takes the entry at input position map[i]).
 
     A mask is a no-op exactly when its keep set is a prefix {1..j} of the
-    window, so those are dropped; enumeration order is windows by
-    (start, width) ascending, then masks by binary value ascending.
+    window, i.e. its bit pattern is 2^j - 1, so those are skipped.  Steps on
+    different windows often share an effect, which is kept once: at n=8,
+    width 3, the 31 non-no-op steps have 19 distinct effects.  An effect needs
+    a window of width >= 2, so sizes n <= 1 have none, and otherwise every map
+    has length n >= 2, for which ``itemgetter`` returns a tuple (with a single
+    index it would return a bare value).
     """
-    templates = []
-    top = min(width_limit, n)
-    for start in range(1, n + 1):
-        for width in range(2, top + 1):
-            if start + width - 1 > n:
-                break
-            prefix_masks = {(1 << j) - 1 for j in range(width + 1)}
-            for mask in range(1 << width):
-                if mask in prefix_masks:
+    maps: dict[tuple[int, ...], None] = {}
+    for lo in range(n):
+        for w in range(2, min(width, n - lo) + 1):
+            for mask in range(1 << w):
+                if mask & (mask + 1) == 0:
                     continue
-                kept = [o for o in range(width) if (mask >> o) & 1]
-                lost = [o for o in range(width) if not (mask >> o) & 1]
-                templates.append((start - 1, width, tuple(kept + lost)))
-    return tuple(templates)
+                kept = [lo + o for o in range(w) if mask >> o & 1]
+                lost = [lo + o for o in range(w) if not mask >> o & 1]
+                maps.setdefault((*range(lo), *kept, *lost, *range(lo + w, n)), None)
+    return tuple(operator.itemgetter(*m) for m in maps)
 
 
 def successor_values(values: tuple[int, ...], width_limit: int) -> set[tuple[int, ...]]:
     """Raw-tuple successor set; always contains ``values`` itself."""
-    out = {values}
-    for lo, width, order in _step_templates(len(values), width_limit):
-        window = values[lo : lo + width]
-        out.add(values[:lo] + tuple(window[o] for o in order) + values[lo + width :])
+    n = len(values)
+    out = {effect(values) for effect in _effects(n, min(width_limit, n))}
+    out.add(values)
     return out
 
 

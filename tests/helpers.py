@@ -53,6 +53,23 @@ def brute_successors(vals, width_limit):
     return out
 
 
+def brute_distances(n, width_limit):
+    """Step distance from the identity of every reachable size-n state, by a
+    plain breadth-first search over ``brute_successors``."""
+    start = tuple(range(1, n + 1))
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for succ in brute_successors(state, width_limit):
+                if succ not in dist:
+                    dist[succ] = dist[state] + 1
+                    nxt.append(succ)
+        frontier = nxt
+    return dist
+
+
 def brute_one_descent(m):
     """All permutations of size m with exactly one descent, by filtering."""
     out = []

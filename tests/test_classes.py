@@ -23,7 +23,8 @@ from duploss import (
     one_step_basis,
     one_step_blockers,
 )
-from helpers import brute_one_descent
+from duploss.classes import clear_search_cache
+from helpers import brute_distances, brute_one_descent
 
 P = lambda *vals: Permutation(vals)
 
@@ -234,3 +235,39 @@ class TestMinSteps:
 
     def test_infinite_width(self):
         assert bfs_min_steps(P(3, 1, 4, 2), math.inf) == 2
+
+    def test_width_one_reaches_only_identity(self):
+        assert bfs_min_steps(identity(4), 1) == 0
+        with pytest.raises(InvalidWidthError):
+            bfs_min_steps(P(3, 1, 4, 2), 1)
+
+
+class TestAgainstBruteSearch:
+    """The layered search and its per-layer memo against a plain BFS over
+    brute-force successors, on all of S_6."""
+
+    N = 6
+
+    def _check_classes(self, width, dist):
+        for budget in range(max(dist.values()) + 2):
+            members = enumerate_class(ClassSpec(width, budget), self.N)
+            assert {p.values for p in members} == {s for s, d in dist.items() if d <= budget}
+            assert all(Permutation(p.values) == p for p in members)
+
+    def _check_queries(self, width, dist):
+        for state, d in dist.items():
+            p = Permutation(state)
+            assert bfs_min_steps(p, width) == d
+            assert is_member(p, ClassSpec(width, d))
+            assert d == 0 or not is_member(p, ClassSpec(width, d - 1))
+
+    @pytest.mark.parametrize("width", (2, 3, 4, math.inf))
+    def test_all_of_s6(self, width):
+        dist = brute_distances(self.N, width)
+        assert len(dist) == math.factorial(self.N)
+        self._check_classes(width, dist)
+        self._check_queries(width, dist)
+        # from a cleared memo, queries first, so they expand the layers
+        clear_search_cache()
+        self._check_queries(width, dist)
+        self._check_classes(width, dist)

@@ -100,6 +100,21 @@ class TestOracle:
         assert code == 0 and out.strip() == "2"
 
 
+class TestErrors:
+    @pytest.mark.parametrize("argv, error", [
+        (["step", "apply", "--perm", "1,2,2", "--start", "1", "--width", "2", "--keep", "2"],
+         "DuplicateValueError"),
+        (["oracle", "min-steps", "--perm", "3,1,4,2", "--width", "1"], "InvalidWidthError"),
+    ])
+    def test_library_error_is_one_stderr_line(self, capsys, argv, error):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"duploss: {error}: ")
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["lemmas", "closure", "basis", "whole-genome"])
     def test_suites_pass(self, capsys, suite):
