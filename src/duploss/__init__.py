@@ -13,6 +13,7 @@ from .errors import (
     DupLossError,
     DuplicateValueError,
     InfiniteWidthError,
+    InvalidParameterError,
     InvalidWidthError,
     NoWitnessError,
     NotSortedWindowError,
@@ -32,7 +33,6 @@ from .permutation import (
     delete,
     descent_count,
     descents,
-    from_one_line,
     identity,
     inversions,
     occurrences,

@@ -91,23 +91,25 @@ def random_permutation(n: int, seed: int) -> Permutation:
     return Permutation(vals)
 
 
+def _lower_bound(d: int, inv: int, width_limit: int) -> int:
+    """The larger of the descent term ceil(log2(d + 1)) and the inversion
+    term ceil(inv / floor(K^2/4)), for d descents and inv inversions."""
+    log_term = d.bit_length()  # == ceil(log2(d + 1))
+    inv_term = math.ceil(inv / (width_limit * width_limit // 4))
+    return max(log_term, inv_term)
+
+
 def lower_bound_steps(n: int, width_limit: int) -> int:
-    """Steps certifiably necessary for the worst permutation of size n:
-    the larger of the descent term ceil(log2 n) and the inversion term
-    ceil((n(n-1)/2) / floor(K^2/4))."""
+    """Steps certifiably necessary for the worst permutation of size n: the
+    bound of a permutation with n - 1 descents and n(n-1)/2 inversions."""
     if n <= 1:
         return 0
-    log_term = (n - 1).bit_length()  # == ceil(log2 n) for n >= 2
-    inv_term = math.ceil((n * (n - 1) // 2) / (width_limit * width_limit // 4))
-    return max(log_term, inv_term)
+    return _lower_bound(n - 1, n * (n - 1) // 2, width_limit)
 
 
 def per_permutation_lower_bound(perm: Permutation, width_limit: int) -> int:
     """Steps certifiably necessary for this particular permutation."""
-    d = descent_count(perm)
-    log_term = d.bit_length()  # == ceil(log2(d + 1))
-    inv_term = math.ceil(inversions(perm) / (width_limit * width_limit // 4))
-    return max(log_term, inv_term)
+    return _lower_bound(descent_count(perm), inversions(perm), width_limit)
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,8 @@ def _bench_one(perm: Permutation, width: int, seed: int) -> BenchRow:
     if final != perm:
         raise RuntimeError(f"scenario for {perm} replayed to {final}")
     steps = scenario.step_count
-    bound = per_permutation_lower_bound(perm, width)
+    inv, d = inversions(perm), descent_count(perm)
+    bound = _lower_bound(d, inv, width)
     if steps < bound:
         raise RuntimeError(f"step count {steps} below certified lower bound {bound}")
     return BenchRow(
@@ -149,8 +152,8 @@ def _bench_one(perm: Permutation, width: int, seed: int) -> BenchRow:
         algorithm="bucket",
         seed=seed,
         steps=steps,
-        inversions=inversions(perm),
-        descents=descent_count(perm),
+        inversions=inv,
+        descents=d,
         wall_time_ms=elapsed_ms,
     )
 

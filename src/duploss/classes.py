@@ -25,7 +25,12 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InfiniteWidthError, InvalidWidthError
+from .errors import (
+    BudgetExceededError,
+    InfiniteWidthError,
+    InvalidParameterError,
+    InvalidWidthError,
+)
 from .permutation import Permutation, all_permutations, contains_pattern, delete
 from .steps import successor_values
 
@@ -58,7 +63,7 @@ class ClassSpec:
         if self.width_limit < 2:
             raise InvalidWidthError(f"width limit must be >= 2, got {self.width_limit}")
         if self.budget < 0:
-            raise ValueError(f"step budget must be >= 0, got {self.budget}")
+            raise InvalidParameterError(f"step budget must be >= 0, got {self.budget}")
 
     def effective_width(self, n: int) -> int:
         """Width limit actually usable at size n (infinity acts as n)."""

@@ -5,6 +5,13 @@ class DupLossError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidParameterError(DupLossError, ValueError):
+    """A constructor argument outside its documented range.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+
 class DuplicateValueError(DupLossError):
     """A one-line sequence repeats a value, so it is not a permutation."""
 

@@ -22,7 +22,6 @@ from .errors import DuplicateValueError, OutOfRangeError, PositionOutOfRangeErro
 __all__ = [
     "Permutation",
     "Occurrence",
-    "from_one_line",
     "parse_one_line",
     "identity",
     "reversed_identity",
@@ -120,15 +119,6 @@ class Occurrence:
     def values_in(self, host: Permutation) -> tuple[int, ...]:
         """The value subsequence of ``host`` this occurrence selects."""
         return tuple(host.values[i - 1] for i in self.indices)
-
-
-def from_one_line(values: Iterable[int]) -> Permutation:
-    """Build a permutation from one-line notation, validating bijectivity.
-
-    >>> from_one_line([1, 2, 3]).is_identity()
-    True
-    """
-    return Permutation(values)
 
 
 def parse_one_line(text: str) -> Permutation:

@@ -29,8 +29,8 @@ from .errors import (
     WidthExceededError,
     WindowOutOfRangeError,
 )
-from .permutation import Permutation, identity
-from .steps import DupLossStep, apply_step_to_list, step_from_json, step_to_json
+from .permutation import Permutation
+from .steps import DupLossStep, _check_window, apply_step_to_list, step_from_json, step_to_json
 
 __all__ = [
     "Scenario",
@@ -86,9 +86,10 @@ class SubWindowTarget:
         return self.start + len(self.target) - 1
 
 
-def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
-    """Steps turning the increasing arrangement of ``target``'s values, sitting
-    at positions start.., into ``target``.  Exactly descents.bit_length() steps."""
+def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[DupLossStep]:
+    """Rearrange the increasing arrangement of ``target``'s values, sitting in
+    ``work`` at positions start.., into ``target``; mutates ``work`` and returns
+    the steps taken.  Exactly descents.bit_length() steps."""
     k = len(target)
     label = {}
     run = 0
@@ -98,15 +99,18 @@ def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
             run += 1
         label[v] = run
         prev = v
-    window = sorted(target)
     steps = []
     for bit in range(run.bit_length()):
-        keep = frozenset(o + 1 for o, v in enumerate(window) if not (label[v] >> bit) & 1)
-        steps.append(DupLossStep(start, k, keep))
-        window = [v for v in window if not (label[v] >> bit) & 1] + [
-            v for v in window if (label[v] >> bit) & 1
-        ]
-    assert window == list(target)
+        window = work[start - 1 : start - 1 + k]
+        # a value foreign to ``target`` is kept first; the end-state check rejects it
+        keep = frozenset(o for o, v in enumerate(window, 1) if not label.get(v, 0) >> bit & 1)
+        step = DupLossStep(start, k, keep)
+        apply_step_to_list(work, step)
+        steps.append(step)
+    if work[start - 1 : start - 1 + k] != list(target):
+        raise NotSortedWindowError(
+            f"window [{start}, {start + k - 1}] did not hold {sorted(target)} in increasing order"
+        )
     return steps
 
 
@@ -127,7 +131,8 @@ def radix_scenario(target: SubWindowTarget, n: int) -> Scenario:
             f"{sorted(target.target)}"
         )
     width = len(target.target)
-    return Scenario(n, width if width else 1, tuple(_radix_steps(target.start, target.target)))
+    steps = _radix_steps(list(range(1, n + 1)), target.start, target.target)
+    return Scenario(n, width if width else 1, tuple(steps))
 
 
 def bucket_windows(n: int, width_limit: int | float) -> list[tuple[int, int]]:
@@ -165,24 +170,20 @@ def _convoy_steps(
     non-members in the first copy and the members in the second, advancing the
     convoy by at least ceil(K/2) positions per step.
     """
-    positions = sorted(i + 1 for i, v in enumerate(work[:target_end]) if v in members)
-    if len(positions) != len(members):
+    if sum(1 for v in work[:target_end] if v in members) != len(members):
         raise ValueError("members must all sit at or left of the target block")
+    s = next((i for i, v in enumerate(work, 1) if v in members), target_start)
     steps: list[DupLossStep] = []
-    while positions and positions[0] < target_start:
-        s = positions[0]
+    while s < target_start:
         if s + width_limit - 1 >= target_end:
             lo, hi = max(1, target_end - width_limit + 1), target_end
         else:
             lo, hi = s, s + width_limit - 1
-        window = work[lo - 1 : hi]
-        keep = frozenset(o + 1 for o, v in enumerate(window) if v not in members)
+        keep = frozenset(o for o, v in enumerate(work[lo - 1 : hi], 1) if v not in members)
         step = DupLossStep(lo, hi - lo + 1, keep)
         apply_step_to_list(work, step)
         steps.append(step)
-        inside = sum(1 for v in window if v in members)
-        positions = [p for p in positions if p > hi] + list(range(hi - inside + 1, hi + 1))
-        positions.sort()
+        s = lo + len(keep)  # the members now fill the window's right end
     return steps
 
 
@@ -236,16 +237,7 @@ def bucket_phases(
         phase1.extend(_convoy_steps(work, members, t1, t2, int(width_limit)))
     phase2: list[DupLossStep] = []
     for t1, t2 in list(reversed(windows[1:])) + windows[:1]:
-        block_target = sigma[t1 - 1 : t2]
-        current = work[t1 - 1 : t2]
-        if current != sorted(block_target):
-            raise NotSortedWindowError(
-                f"block [{t1}, {t2}] holds {current}, expected sorted {sorted(block_target)}"
-            )
-        for step in _radix_steps(t1, block_target):
-            apply_step_to_list(work, step)
-            phase2.append(step)
-    assert tuple(work) == sigma
+        phase2.extend(_radix_steps(work, t1, sigma[t1 - 1 : t2]))
     return phase1, phase2
 
 
@@ -255,8 +247,6 @@ def bucket_scenario(target: Permutation, width_limit: int | float) -> Scenario:
     For n <= K this degenerates to a single radix call on the whole
     permutation; widths never exceed the limit.
     """
-    if width_limit < 2:
-        raise InvalidWidthError(f"width limit must be >= 2, got {width_limit}")
     phase1, phase2 = bucket_phases(target, width_limit)
     return Scenario(len(target), width_limit, tuple(phase1 + phase2))
 
@@ -269,10 +259,7 @@ def replay(scenario: Scenario) -> Permutation:
             raise WidthExceededError(
                 f"step width {step.width} exceeds limit {scenario.width_limit}"
             )
-        if step.end > scenario.n:
-            raise WindowOutOfRangeError(
-                f"window [{step.start}, {step.end}] does not fit in size {scenario.n}"
-            )
+        _check_window(step, scenario.n)
         apply_step_to_list(work, step)
     return Permutation(work)
 

@@ -4,8 +4,12 @@ A step duplicates the window of ``width`` entries starting at ``start``,
 inserts the copy immediately after the original, then deletes one copy of
 every duplicated entry.  The net effect keeps the offsets in ``keep`` (in
 their original order) followed by the remaining offsets (in their original
-order); everything outside the window is untouched.  Width-1 steps and the
-keep-everything / keep-nothing masks are legal no-ops.
+order); everything outside the window is untouched.  Width-1 steps and keep
+sets that are a prefix {1..j} of the window are legal no-ops.
+
+``_window_order`` is the only definition of that effect: ``apply_step_to_list``
+(used by every generator and by replay) and the compiled successor effects
+both take the window's output order from it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import functools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import WindowOutOfRangeError
+from .errors import InvalidParameterError, WindowOutOfRangeError
 from .permutation import Permutation, inversions
 
 __all__ = [
@@ -38,13 +42,13 @@ class DupLossStep:
 
     def __post_init__(self):
         if self.start < 1:
-            raise ValueError(f"start must be >= 1, got {self.start}")
+            raise InvalidParameterError(f"start must be >= 1, got {self.start}")
         if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+            raise InvalidParameterError(f"width must be >= 1, got {self.width}")
         keep = frozenset(self.keep)
         object.__setattr__(self, "keep", keep)
         if not keep <= set(range(1, self.width + 1)):
-            raise ValueError(f"keep offsets {sorted(keep)} outside 1..{self.width}")
+            raise InvalidParameterError(f"keep offsets {sorted(keep)} outside 1..{self.width}")
 
     @property
     def end(self) -> int:
@@ -58,14 +62,17 @@ def _check_window(step: DupLossStep, n: int) -> None:
         )
 
 
+def _window_order(width: int, keep: frozenset[int]) -> list[int]:
+    """The window's output order under a step: the 0-based offsets kept in the
+    first copy, then the lost ones, each group in its original order."""
+    return sorted(o - 1 for o in keep) + [o - 1 for o in range(1, width + 1) if o not in keep]
+
+
 def apply_step_to_list(values: list[int], step: DupLossStep) -> None:
     """In-place core of apply_step; callers guarantee the window fits."""
     lo = step.start - 1
     window = values[lo : lo + step.width]
-    keep = step.keep
-    kept = [window[o - 1] for o in sorted(keep)]
-    lost = [window[o - 1] for o in range(1, step.width + 1) if o not in keep]
-    values[lo : lo + step.width] = kept + lost
+    values[lo : lo + step.width] = [window[o] for o in _window_order(step.width, step.keep)]
 
 
 def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
@@ -87,23 +94,23 @@ def _effects(n: int, width: int) -> tuple[operator.itemgetter, ...]:
     permutations, each compiled to an ``operator.itemgetter`` over its
     position map (output position i takes the entry at input position map[i]).
 
-    A mask is a no-op exactly when its keep set is a prefix {1..j} of the
-    window, i.e. its bit pattern is 2^j - 1, so those are skipped.  Steps on
-    different windows often share an effect, which is kept once: at n=8,
-    width 3, the 31 non-no-op steps have 19 distinct effects.  An effect needs
-    a window of width >= 2, so sizes n <= 1 have none, and otherwise every map
-    has length n >= 2, for which ``itemgetter`` returns a tuple (with a single
-    index it would return a bare value).
+    Each keep set of each window is turned into its window order by
+    ``_window_order``; those whose order is the identity order (the prefixes
+    {1..j}) are no-ops and are skipped.  Steps on different windows often
+    share an effect, which is kept once: at n=8, width 3, the 31 non-no-op
+    steps have 19 distinct effects.  An effect needs a window of width >= 2,
+    so sizes n <= 1 have none, and otherwise every map has length n >= 2, for
+    which ``itemgetter`` returns a tuple (with a single index it would return
+    a bare value).
     """
     maps: dict[tuple[int, ...], None] = {}
     for lo in range(n):
         for w in range(2, min(width, n - lo) + 1):
             for mask in range(1 << w):
-                if mask & (mask + 1) == 0:
-                    continue
-                kept = [lo + o for o in range(w) if mask >> o & 1]
-                lost = [lo + o for o in range(w) if not mask >> o & 1]
-                maps.setdefault((*range(lo), *kept, *lost, *range(lo + w, n)), None)
+                keep = frozenset(o + 1 for o in range(w) if mask >> o & 1)
+                order = [lo + o for o in _window_order(w, keep)]
+                if order != list(range(lo, lo + w)):
+                    maps.setdefault((*range(lo), *order, *range(lo + w, n)), None)
     return tuple(operator.itemgetter(*m) for m in maps)
 
 
@@ -135,7 +142,6 @@ def inversions_created(perm: Permutation, step: DupLossStep) -> int:
     inversions only pair a kept-first entry with a kept-second one, giving at
     most i*(k-i) of them when i offsets are kept.
     """
-    _check_window(step, len(perm))
     return inversions(apply_step(perm, step)) - inversions(perm)
 
 

@@ -105,6 +105,10 @@ class TestErrors:
         (["step", "apply", "--perm", "1,2,2", "--start", "1", "--width", "2", "--keep", "2"],
          "DuplicateValueError"),
         (["oracle", "min-steps", "--perm", "3,1,4,2", "--width", "1"], "InvalidWidthError"),
+        (["step", "apply", "--perm", "1,2,3", "--start", "0", "--width", "2"],
+         "InvalidParameterError"),
+        (["class", "enumerate", "--width", "3", "--steps", "-1", "--size", "3"],
+         "InvalidParameterError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
         assert main(argv) == 2

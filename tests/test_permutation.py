@@ -15,7 +15,6 @@ from duploss import (
     delete,
     descent_count,
     descents,
-    from_one_line,
     identity,
     inversions,
     occurrences,
@@ -28,25 +27,25 @@ from helpers import brute_occurrence_indices, permutations_st
 
 class TestConstruction:
     def test_identity(self):
-        assert from_one_line([1, 2, 3]) == identity(3)
-        assert from_one_line([1, 2, 3]).is_identity()
+        assert Permutation([1, 2, 3]) == identity(3)
+        assert Permutation([1, 2, 3]).is_identity()
 
     def test_valid_size_six(self):
-        p = from_one_line([5, 2, 4, 3, 1, 6])
+        p = Permutation([5, 2, 4, 3, 1, 6])
         assert len(p) == 6
         assert p.values == (5, 2, 4, 3, 1, 6)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateValueError):
-            from_one_line([1, 1, 2])
+            Permutation([1, 1, 2])
 
     @pytest.mark.parametrize("vals", [[0, 1, 2], [1, 2, 4], [2], [-1]])
     def test_out_of_range_rejected(self, vals):
         with pytest.raises(OutOfRangeError):
-            from_one_line(vals)
+            Permutation(vals)
 
     def test_empty_is_valid(self):
-        assert len(from_one_line([])) == 0
+        assert len(Permutation([])) == 0
 
     def test_text_round_trip(self):
         p = Permutation([5, 2, 4, 3, 1, 6])

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -29,6 +31,7 @@ from duploss import (
     scenario_from_json,
     scenario_to_json,
 )
+from duploss.scenarios import _radix_steps
 from duploss.steps import apply_step_to_list
 
 
@@ -76,6 +79,12 @@ class TestRadix:
     def test_rejects_overflowing_window(self):
         with pytest.raises(WindowOutOfRangeError):
             radix_scenario(SubWindowTarget(3, (3, 4, 5, 6)), 5)
+
+    @pytest.mark.parametrize("work, target", [([2, 1], (1, 2)), ([1, 2, 3, 4], (5, 4))])
+    def test_end_state_check(self, work, target):
+        # a window not holding target's values in increasing order is reported
+        with pytest.raises(NotSortedWindowError):
+            _radix_steps(work, 1, target)
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
@@ -275,3 +284,23 @@ class TestScenarioJson:
         obj["final"] = "1,2,3"
         with pytest.raises(ValueError):
             scenario_from_json(obj)
+
+
+class TestGoldenTranscripts:
+    """sha256 of the sorted-key JSON transcript: pins the exact steps, which a
+    replay check alone would not."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: bucket_scenario(random_permutation(256, 7), 8),
+         "3f6977def878ddfb7fc30b3418b240dc1ec27fe7299d0a200687352ef9fd46b6"),
+        (lambda: bucket_scenario(reversed_identity(256), 8),
+         "0eb04f22e54deb0f9f3abb364f544dd5a3b680fe48a640ffe73998f1357dcfaa"),
+        # K = 57 is the n_over_log width at n = 512
+        (lambda: bucket_scenario(random_permutation(512, 3), 57),
+         "80058904c95d607ad64cea699265004240fcd6dc82203c561e2be4c1c26ba709"),
+        (lambda: radix_scenario(SubWindowTarget(1, (9, 1, 8, 2, 7, 3, 6, 4, 5)), 9),
+         "ccd8f57f4a529061c676ecf794c55dadafd6fee22b8fd0c2926ceeecbad4f67e"),
+    ], ids=["random256-K8", "reversed256-K8", "random512-K57", "radix9"])
+    def test_transcript_digest(self, make, digest):
+        text = json.dumps(scenario_to_json(make()), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
