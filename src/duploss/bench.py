@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from .errors import InvalidParameterError
 from .permutation import Permutation, descent_count, inversions, reversed_identity
 from .scenarios import bucket_scenario, replay
 
@@ -53,9 +54,9 @@ class WidthPolicy:
 
     def __post_init__(self):
         if self.kind not in ("constant", "full", "n_over_log", "sqrt"):
-            raise ValueError(f"unknown width policy kind {self.kind!r}")
+            raise InvalidParameterError(f"unknown width policy kind {self.kind!r}")
         if self.kind == "constant" and (self.constant is None or self.constant < 2):
-            raise ValueError("constant policy needs a constant >= 2")
+            raise InvalidParameterError("constant policy needs a constant >= 2")
 
     def width_for(self, n: int) -> int:
         if self.kind == "constant":
@@ -74,11 +75,10 @@ def parse_width_policy(text: str) -> WidthPolicy:
     text = text.strip()
     if text in ("full", "n_over_log", "sqrt"):
         return WidthPolicy(text)
-    if text.startswith("constant:"):
-        return WidthPolicy("constant", int(text.split(":", 1)[1]))
-    if text.isdigit():
-        return WidthPolicy("constant", int(text))
-    raise ValueError(f"cannot parse width policy {text!r}")
+    constant = text.removeprefix("constant:").strip()
+    if constant.isdecimal():
+        return WidthPolicy("constant", int(constant))
+    raise InvalidParameterError(f"cannot parse width policy {text!r}")
 
 
 def random_permutation(n: int, seed: int) -> Permutation:
@@ -165,7 +165,7 @@ def run_benchmark(
     ``samples`` seeded uniform permutations.  Every row is replay-verified and
     lower-bound-checked."""
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
     rows = []
     for n in sizes:
         width = policy.width_for(n)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    InvalidParameterError,
     InvalidWidthError,
     NotSortedWindowError,
     TooManyMembersError,
@@ -79,7 +80,7 @@ class SubWindowTarget:
         if self.start < 1:
             raise WindowOutOfRangeError(f"window start {self.start} must be >= 1")
         if len(set(self.target)) != len(self.target):
-            raise ValueError("target arrangement repeats a value")
+            raise InvalidParameterError("target arrangement repeats a value")
 
     @property
     def end(self) -> int:
@@ -171,7 +172,7 @@ def _convoy_steps(
     convoy by at least ceil(K/2) positions per step.
     """
     if sum(1 for v in work[:target_end] if v in members) != len(members):
-        raise ValueError("members must all sit at or left of the target block")
+        raise InvalidParameterError("members must all sit at or left of the target block")
     s = next((i for i, v in enumerate(work, 1) if v in members), target_start)
     steps: list[DupLossStep] = []
     while s < target_start:
@@ -210,9 +211,9 @@ def phase1_move_block(
     if not (1 <= t1 <= t2 <= len(perm)):
         raise WindowOutOfRangeError(f"target range {target_range} outside 1..{len(perm)}")
     if len(member_set) != t2 - t1 + 1:
-        raise ValueError("member count must match the target block width")
+        raise InvalidParameterError("member count must match the target block width")
     if not member_set <= set(perm.values):
-        raise ValueError("members must be values of the permutation")
+        raise InvalidParameterError("members must be values of the permutation")
     work = list(perm.values)
     return _convoy_steps(work, member_set, t1, t2, width_limit)
 
@@ -282,5 +283,7 @@ def scenario_from_json(obj: dict) -> Scenario:
         int(obj["n"]), width_limit, tuple(step_from_json(s) for s in obj["steps"])
     )
     if "final" in obj and str(replay(scenario)) != obj["final"]:
-        raise ValueError("scenario transcript does not replay to its recorded final state")
+        raise InvalidParameterError(
+            "scenario transcript does not replay to its recorded final state"
+        )
     return scenario

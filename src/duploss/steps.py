@@ -131,7 +131,7 @@ def successors(perm: Permutation, width_limit: int) -> set[Permutation]:
     ['1,2', '2,1']
     """
     if width_limit < 1:
-        raise ValueError(f"width limit must be >= 1, got {width_limit}")
+        raise InvalidParameterError(f"width limit must be >= 1, got {width_limit}")
     return {Permutation(v) for v in successor_values(perm.values, width_limit)}
 
 

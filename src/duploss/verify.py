@@ -1,8 +1,10 @@
-"""Named property suites, runnable from the command line.
+"""Named property suites: the single implementation of the properties they cover.
 
 Each suite returns (name, passed, detail) triples; a suite passes when every
-check does.  These are the same invariants the test suite pins down, bundled
-for CI-style runs: ``lemmas`` covers the vp-vector removal facts, ``closure``
+check does.  The acceptance criteria call these suites at their pinned sizes
+and the CLI ``verify`` subcommand runs them by name, so each property is
+spelled out here only: ``lemmas`` covers the vp-vector removal facts and the
+vp-domain and size bounds of class members and minimal patterns, ``closure``
 the downward closure of reachability classes under deletion, ``basis`` the
 agreement of the closed-form and brute-force bases, and ``whole-genome`` the
 descent-count characterization of the unbounded model.
@@ -10,7 +12,7 @@ descent-count characterization of the unbounded model.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .classes import (
     ClassSpec,
@@ -19,6 +21,7 @@ from .classes import (
     minimal_forbidden_basis,
     one_step_basis,
 )
+from .errors import InvalidParameterError, NoWitnessError
 from .permutation import (
     Permutation,
     all_permutations,
@@ -27,11 +30,9 @@ from .permutation import (
     descent_count,
 )
 from .scenarios import SubWindowTarget, radix_scenario, replay
-from .vp import removal_span_stability, safe_removal_position, vp_domain, vp_vectors
+from .vp import fixpoints, removal_span_stability, safe_removal_position, vp_domain, vp_vectors
 
 CheckResult = tuple[str, bool, str]
-
-SUITES = ("lemmas", "closure", "basis", "whole-genome")
 
 
 def _every(name: str, pairs: Iterable[tuple[object, bool]]) -> CheckResult:
@@ -42,7 +43,9 @@ def _every(name: str, pairs: Iterable[tuple[object, bool]]) -> CheckResult:
 
 
 def suite_lemmas(max_n: int = 6) -> list[CheckResult]:
-    """Removal facts, balance condition, and vp-domain bounds on small sizes."""
+    """Removal facts and the balance condition on S_1..S_max_n; vp-domain
+    bounds of class members there, and the vp-domain and size bounds of
+    minimal forbidden patterns up to size max_n + 1."""
     results = []
     perms = [p for n in range(1, max_n + 1) for p in all_permutations(n)]
     results.append(
@@ -54,10 +57,10 @@ def suite_lemmas(max_n: int = 6) -> list[CheckResult]:
 
     def has_witness(p: Permutation) -> bool:
         try:
-            safe_removal_position(p)
-            return True
-        except Exception:
+            position = safe_removal_position(p)
+        except NoWitnessError:
             return False
+        return len(fixpoints(delete(p, position))) <= len(fixpoints(p)) + 1
 
     results.append(
         _every(
@@ -88,6 +91,17 @@ def suite_lemmas(max_n: int = 6) -> list[CheckResult]:
                 ((p, len(vp_domain(p)) <= width * budget) for p in members),
             )
         )
+        domain_cap, size_cap = 2 * width * budget + 2, (width * budget + 2) ** 2 - 2
+        results.append(
+            _every(
+                f"minimal patterns of (K={width}, p={budget}) have vp-domain <= {domain_cap}"
+                f" and size <= {size_cap}",
+                (
+                    (p, len(vp_domain(p)) <= domain_cap and len(p) <= size_cap)
+                    for p in minimal_forbidden_basis(spec, max_n + 1).patterns
+                ),
+            )
+        )
     return results
 
 
@@ -114,13 +128,13 @@ def suite_basis(max_n: int = 7, widths: tuple[int, ...] = (2, 3, 4)) -> list[Che
     brute-force minimal basis where that basis is an antichain."""
     results = []
     for width in widths:
-        basis = one_step_basis(width)
+        patterns = one_step_basis(width).sorted_patterns()  # short ones first: cheapest tests
         spec = ClassSpec(width, 1)
         bad = []
         for n in range(1, max_n + 1):
             members = enumerate_class(spec, n)
             for p in all_permutations(n):
-                avoids = not any(contains_pattern(p, b) for b in basis.patterns)
+                avoids = not any(contains_pattern(p, b) for b in patterns)
                 if avoids != (p in members):
                     bad.append(p)
         results.append(
@@ -164,9 +178,9 @@ def suite_whole_genome(max_n: int = 6) -> list[CheckResult]:
     results.append(_every("radix scenario realizes the optimum", ((p, False) for p in bad_replay)))
 
     bad_class = []
-    for n in range(1, min(max_n, 6) + 1):
+    for n in range(1, max_n + 1):
         for budget in (1, 2):
-            members = enumerate_class(ClassSpec(n if n >= 2 else 2, budget), n)
+            members = enumerate_class(ClassSpec(max(n, 2), budget), n)
             expected_set = frozenset(
                 p for p in all_permutations(n) if descent_count(p) <= (1 << budget) - 1
             )
@@ -178,13 +192,16 @@ def suite_whole_genome(max_n: int = 6) -> list[CheckResult]:
     return results
 
 
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {
+    "lemmas": suite_lemmas,
+    "closure": suite_closure,
+    "basis": suite_basis,
+    "whole-genome": suite_whole_genome,
+}
+
+
 def run_suite(name: str, max_size: int | None = None) -> list[CheckResult]:
-    if name == "lemmas":
-        return suite_lemmas(max_size or 6)
-    if name == "closure":
-        return suite_closure(max_size or 6)
-    if name == "basis":
-        return suite_basis(max_size or 7)
-    if name == "whole-genome":
-        return suite_whole_genome(max_size or 6)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    """Run the named suite, at its own default size unless ``max_size`` is given."""
+    if name not in SUITES:
+        raise InvalidParameterError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    return SUITES[name]() if max_size is None else SUITES[name](max_size)

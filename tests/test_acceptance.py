@@ -11,35 +11,28 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from duploss import (
     ClassSpec,
     DupLossStep,
     Permutation,
-    SubWindowTarget,
+    all_permutations,
     apply_step,
-    bfs_min_steps,
     bucket_scenario,
-    contains_pattern,
-    delete,
-    descent_count,
-    enumerate_class,
     identity,
-    inversions,
     inversions_created,
     minimal_forbidden_basis,
     one_step_basis,
     one_step_blockers,
-    radix_scenario,
     random_permutation,
     replay,
     reversed_identity,
     rows_to_csv,
     run_benchmark,
-    vp_domain,
-    vp_vectors,
 )
 from duploss.bench import WidthPolicy
-from duploss.vp import removal_span_stability, safe_removal_position
+from duploss.verify import suite_basis, suite_lemmas, suite_whole_genome
 
 # frozen calibration band for criterion 10 (see that test for the series)
 SCALING_BAND = (1.1, 2.6)
@@ -49,9 +42,15 @@ def _report(num: int, name: str, ok: bool) -> None:
     print(f"criterion {num:02d} [{name}]: {'PASS' if ok else 'FAIL'}")
 
 
-def _all_perms(n):
-    for vals in itertools.permutations(range(1, n + 1)):
-        yield Permutation(vals)
+def _check_suite(num: int, name: str, results) -> None:
+    failures = [(check, detail) for check, ok, detail in results if not ok]
+    _report(num, name, not failures)
+    assert not failures, failures
+
+
+@pytest.fixture(scope="module")
+def whole_genome():
+    return suite_whole_genome(7)  # criteria 04 and 05 share one run
 
 
 def test_criterion_01_golden_step_semantics():
@@ -84,56 +83,22 @@ def test_criterion_02_one_step_basis_reproduction():
 
 
 def test_criterion_03_class_basis_duality():
-    failures = []
-    for width in (2, 3, 4):
-        patterns = sorted(one_step_basis(width).patterns, key=len)
-        for n in range(1, 9):
-            members = enumerate_class(ClassSpec(width, 1), n)
-            for p in _all_perms(n):
-                avoids = not any(contains_pattern(p, b) for b in patterns)
-                if avoids != (p in members):
-                    failures.append((width, p))
-    ok = not failures
-    _report(3, "class-basis duality", ok)
-    assert not failures, failures[:5]
+    _check_suite(3, "class-basis duality", suite_basis(8))
 
 
-def test_criterion_04_whole_genome_optimum():
-    failures = []
-    for n in range(1, 8):
-        for p in _all_perms(n):
-            expected = descent_count(p).bit_length()  # ceil(log2(desc+1))
-            if bfs_min_steps(p, n) != expected:
-                failures.append(("search", p))
-                continue
-            scenario = radix_scenario(SubWindowTarget(1, p.values), n)
-            if scenario.step_count != expected or replay(scenario) != p:
-                failures.append(("radix", p))
-    ok = not failures
-    _report(4, "whole-genome optimum", ok)
-    assert not failures, failures[:5]
+def test_criterion_04_whole_genome_optimum(whole_genome):
+    _check_suite(4, "whole-genome optimum", whole_genome[:2])  # search and radix
 
 
-def test_criterion_05_descent_characterization():
-    failures = []
-    for n in range(1, 8):
-        for budget in (1, 2):
-            got = enumerate_class(ClassSpec(max(n, 2), budget), n)
-            expected = frozenset(
-                p for p in _all_perms(n) if descent_count(p) <= (1 << budget) - 1
-            )
-            if got != expected:
-                failures.append((n, budget))
-    ok = not failures
-    _report(5, "descent characterization of unbounded classes", ok)
-    assert not failures, failures
+def test_criterion_05_descent_characterization(whole_genome):
+    _check_suite(5, "descent characterization of unbounded classes", whole_genome[2:])
 
 
 def test_criterion_06_bucket_correctness():
     failures = []
     for n in range(1, 8):
         for width in range(2, 8):
-            for p in _all_perms(n):
+            for p in all_permutations(n):
                 sc = bucket_scenario(p, width)
                 if replay(sc) != p or any(s.width > width for s in sc.steps):
                     failures.append((n, width, p))
@@ -183,38 +148,7 @@ def test_criterion_08_inversion_creation_bound():
 
 
 def test_criterion_09_vp_lemma_suite():
-    failures = []
-    for n in range(2, 8):
-        for p in _all_perms(n):
-            if not removal_span_stability(p):
-                failures.append(("span", p))
-            try:
-                safe_removal_position(p)
-            except Exception:
-                failures.append(("witness", p))
-    for n in range(1, 8):
-        for p in _all_perms(n):
-            counts = {}
-            for vec in vp_vectors(p):
-                for v in vec.covered:
-                    counts[v] = counts.get(v, 0) + 1
-            if any(c < 2 for c in counts.values()):
-                failures.append(("balance", p))
-    for width, budget in ((2, 1), (2, 2), (3, 1)):
-        spec = ClassSpec(width, budget)
-        for n in range(1, 8):
-            for p in enumerate_class(spec, n):
-                if len(vp_domain(p)) > width * budget:
-                    failures.append(("member-domain", width, budget, p))
-        basis = minimal_forbidden_basis(spec, 8)
-        for p in basis.patterns:
-            if len(vp_domain(p)) > 2 * width * budget + 2:
-                failures.append(("pattern-domain", width, budget, p))
-            if len(p) > (width * budget + 2) ** 2 - 2:
-                failures.append(("pattern-size", width, budget, p))
-    ok = not failures
-    _report(9, "vp-vector lemma suite", ok)
-    assert not failures, failures[:5]
+    _check_suite(9, "vp-vector lemma suite", suite_lemmas(7))
 
 
 def test_criterion_10_scaling_band():
@@ -246,7 +180,7 @@ def test_criterion_11_reversed_identity_is_worst():
     failures = []
     for width in (2, 4):
         rev_steps = bucket_scenario(reversed_identity(8), width).step_count
-        worst = max(bucket_scenario(p, width).step_count for p in _all_perms(8))
+        worst = max(bucket_scenario(p, width).step_count for p in all_permutations(8))
         if rev_steps != worst:
             failures.append((width, rev_steps, worst))
     ok = not failures

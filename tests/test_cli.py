@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from duploss import verify
 from duploss.cli import main
 
 
@@ -109,6 +110,10 @@ class TestErrors:
          "InvalidParameterError"),
         (["class", "enumerate", "--width", "3", "--steps", "-1", "--size", "3"],
          "InvalidParameterError"),
+        (["bench", "--policy", "foo", "--sizes", "8"], "InvalidParameterError"),
+        (["bench", "--policy", "constant:1", "--sizes", "8"], "InvalidParameterError"),
+        (["bench", "--policy", "constant:x", "--sizes", "8"], "InvalidParameterError"),
+        (["bench", "--policy", "8", "--sizes", "8", "--samples", "0"], "InvalidParameterError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
         assert main(argv) == 2
@@ -126,6 +131,12 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.strip()
+
+    def test_failing_suite_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "closure", lambda *size: [("broken", False, "why")])
+        code, out = run_cli(capsys, "verify", "--suite", "closure")
+        assert code == 1
+        assert out.splitlines() == ["FAIL broken -- why"]
 
 
 class TestBench:
