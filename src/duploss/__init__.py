@@ -19,13 +19,11 @@ from .errors import (
     NotSortedWindowError,
     OutOfRangeError,
     PositionOutOfRangeError,
-    TooManyMembersError,
     ValueOutOfRangeError,
     WidthExceededError,
     WindowOutOfRangeError,
 )
 from .permutation import (
-    Occurrence,
     Permutation,
     all_permutations,
     ascending_run_partition,
@@ -35,10 +33,8 @@ from .permutation import (
     descents,
     identity,
     inversions,
-    occurrences,
     parse_one_line,
     reversed_identity,
-    standardize,
 )
 from .steps import (
     DupLossStep,
@@ -54,7 +50,6 @@ from .scenarios import (
     bucket_phases,
     bucket_scenario,
     bucket_windows,
-    phase1_move_block,
     radix_scenario,
     replay,
     scenario_from_json,
@@ -66,6 +61,7 @@ from .classes import (
     PatternBasis,
     basis_to_json,
     bfs_min_steps,
+    clear_search_cache,
     enumerate_class,
     is_antichain,
     is_member,

@@ -13,9 +13,9 @@ state's successors come from the step effects compiled once per (size,
 width) in ``steps``; the memo keeps every BFS layer as a list of
 ``Permutation``s built once, when their states are found, so a class at
 budget p is the union of the first p + 1 layers.  The operations
-refuse sizes beyond a cap (default 10, overridable via the DUPLOSS_ENUM_CAP
-environment variable or a ``cap`` argument) since S_11 and up are beyond desk
-scale.
+refuse sizes beyond a cap (default 10) since S_11 and up are beyond desk
+scale; the DUPLOSS_ENUM_CAP environment variable, an integer, is the one
+override.
 """
 
 from __future__ import annotations
@@ -83,18 +83,17 @@ class PatternBasis:
         return sorted(self.patterns, key=lambda p: (len(p), p.values))
 
 
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _check_cap(n: int) -> None:
     env = os.environ.get("DUPLOSS_ENUM_CAP")
-    return int(env) if env else DEFAULT_ENUMERATION_CAP
-
-
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = _resolve_cap(cap)
+    try:
+        limit = int(env) if env else DEFAULT_ENUMERATION_CAP
+    except ValueError:
+        raise InvalidParameterError(
+            f"DUPLOSS_ENUM_CAP must be an integer, got {env!r}"
+        ) from None
     if n > limit:
         raise BudgetExceededError(
-            f"size {n} exceeds the enumeration cap {limit}; raise DUPLOSS_ENUM_CAP or pass cap="
+            f"size {n} exceeds the enumeration cap {limit}; raise DUPLOSS_ENUM_CAP"
         )
 
 
@@ -168,27 +167,27 @@ def clear_search_cache() -> None:
     _searches.clear()
 
 
-def enumerate_class(spec: ClassSpec, n: int, cap: int | None = None) -> frozenset[Permutation]:
+def enumerate_class(spec: ClassSpec, n: int) -> frozenset[Permutation]:
     """All size-n permutations reachable within the spec's budget."""
-    _check_cap(n, cap)
+    _check_cap(n)
     search = _search(n, spec.effective_width(n))
     search.ensure_depth(spec.budget)
     return frozenset(itertools.chain.from_iterable(search.layers[: spec.budget + 1]))
 
 
-def is_member(perm: Permutation, spec: ClassSpec, cap: int | None = None) -> bool:
+def is_member(perm: Permutation, spec: ClassSpec) -> bool:
     """Whether ``perm`` is reachable within the spec's budget."""
-    _check_cap(len(perm), cap)
+    _check_cap(len(perm))
     search = _search(len(perm), spec.effective_width(len(perm)))
     return search.within(perm.values, spec.budget)
 
 
-def bfs_min_steps(perm: Permutation, width_limit: int | float, cap: int | None = None) -> int:
+def bfs_min_steps(perm: Permutation, width_limit: int | float) -> int:
     """Minimal number of width-bounded steps building ``perm`` from identity."""
     if width_limit < 1:
         raise InvalidWidthError(f"width limit must be >= 1, got {width_limit}")
     n = len(perm)
-    _check_cap(n, cap)
+    _check_cap(n)
     width = n if math.isinf(width_limit) else min(int(width_limit), n)
     return _search(n, max(width, 1)).distance(perm.values)
 
@@ -241,20 +240,18 @@ def is_antichain(patterns: frozenset[Permutation]) -> bool:
     return True
 
 
-def minimal_forbidden_basis(
-    spec: ClassSpec, max_size: int, cap: int | None = None
-) -> PatternBasis:
+def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
     """Brute-force minimal forbidden patterns up to ``max_size``: the
     non-members all of whose one-element deletions are members.
 
     Downward closure of the class makes one-element-deletion minimality
     equivalent to pattern-minimality, so the result is an antichain.
     """
-    _check_cap(max_size, cap)
+    _check_cap(max_size)
     minimal: list[Permutation] = []
     for n in range(1, max_size + 1):
-        members = enumerate_class(spec, n, cap)
-        smaller = enumerate_class(spec, n - 1, cap) if n > 1 else frozenset()
+        members = enumerate_class(spec, n)
+        smaller = enumerate_class(spec, n - 1) if n > 1 else frozenset()
         for candidate in all_permutations(n):
             if candidate in members:
                 continue

@@ -11,7 +11,8 @@ Subcommands:
   bench             benchmark campaign with CSV/JSON output
 
 Permutations are given in comma-separated one-line form, e.g. "5,2,4,3,1,6".
-The exhaustive-search size cap can be overridden with DUPLOSS_ENUM_CAP.
+The exhaustive-search size cap (default 10) has one override: the
+DUPLOSS_ENUM_CAP environment variable, an integer.
 
 Exit codes: 0 on success, 1 when a verify suite fails, 2 on a usage error
 or a library error.  A library error (a DupLossError, such as a repeated

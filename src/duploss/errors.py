@@ -48,10 +48,6 @@ class InfiniteWidthError(DupLossError):
     """An operation that needs a finite width limit was given infinity."""
 
 
-class TooManyMembersError(DupLossError):
-    """More values to convoy than half the window width allows."""
-
-
 class BudgetExceededError(DupLossError):
     """An exhaustive enumeration would exceed the configured size cap."""
 

@@ -14,24 +14,20 @@ All operations are pure; ``Permutation`` objects are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DuplicateValueError, OutOfRangeError, PositionOutOfRangeError
 
 __all__ = [
     "Permutation",
-    "Occurrence",
     "parse_one_line",
     "identity",
     "reversed_identity",
-    "standardize",
     "descents",
     "descent_count",
     "inversions",
     "ascending_run_partition",
     "contains_pattern",
-    "occurrences",
     "delete",
     "all_permutations",
 ]
@@ -57,8 +53,8 @@ class Permutation:
         n = len(vals)
         seen = [False] * n
         for v in vals:
-            if not isinstance(v, int) or v < 1 or v > n:
-                raise OutOfRangeError(f"value {v!r} outside 1..{n}")
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > n:
+                raise OutOfRangeError(f"value {v!r} is not an integer in 1..{n}")
             if seen[v - 1]:
                 raise DuplicateValueError(f"value {v} appears more than once")
             seen[v - 1] = True
@@ -110,17 +106,6 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.values))
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    """Strictly increasing 1-indexed positions witnessing a pattern."""
-
-    indices: tuple[int, ...]
-
-    def values_in(self, host: Permutation) -> tuple[int, ...]:
-        """The value subsequence of ``host`` this occurrence selects."""
-        return tuple(host.values[i - 1] for i in self.indices)
-
-
 def parse_one_line(text: str) -> Permutation:
     """Parse comma-separated one-line notation; "" is the empty permutation."""
     text = text.strip()
@@ -140,17 +125,6 @@ def identity(n: int) -> Permutation:
 def reversed_identity(n: int) -> Permutation:
     """n (n-1) ... 2 1, the unique permutation with n-1 descents."""
     return Permutation(range(n, 0, -1))
-
-
-def standardize(values: Sequence[int]) -> Permutation:
-    """The pattern of a sequence of distinct integers: rank-normalize to {1..k}.
-
-    >>> standardize((4, 1, 2, 3, 7, 6))
-    Permutation([4, 1, 2, 3, 6, 5])
-    """
-    order = sorted(values)
-    rank = {v: r + 1 for r, v in enumerate(order)}
-    return Permutation(rank[v] for v in values)
 
 
 def descents(perm: Permutation) -> set[int]:
@@ -197,51 +171,35 @@ def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
     return runs
 
 
-def _iter_occurrence_indices(host: tuple[int, ...], patt: tuple[int, ...]):
-    """Yield 0-based index tuples of occurrences in lexicographic order.
-
-    Backtracking with prefix pruning: a partial choice is extended only while
-    it stays order-isomorphic to the corresponding pattern prefix.
-    """
-    n, k = len(host), len(patt)
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    chosen: list[int] = []
-
-    def extend(depth: int, start: int):
-        if depth == k:
-            yield tuple(chosen)
-            return
-        for i in range(start, n - (k - depth) + 1):
-            v = host[i]
-            if all((v > host[j]) == (patt[depth] > patt[d]) for d, j in enumerate(chosen)):
-                chosen.append(i)
-                yield from extend(depth + 1, i + 1)
-                chosen.pop()
-
-    yield from extend(0, 0)
-
-
 def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
     """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
+
+    Backtracking with prefix pruning: a partial choice is extended only while
+    it stays order-isomorphic to the corresponding pattern prefix, and the
+    search stops at the first full match.
 
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([1, 3, 4, 2]))
     True
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([3, 2, 1]))
     False
     """
-    return next(_iter_occurrence_indices(host.values, pattern.values), None) is not None
+    hv, patt = host.values, pattern.values
+    n, k = len(hv), len(patt)
+    chosen: list[int] = []
 
+    def extend(depth: int, start: int) -> bool:
+        if depth == k:
+            return True
+        for i in range(start, n - (k - depth) + 1):
+            v = hv[i]
+            if all((v > hv[j]) == (patt[depth] > patt[d]) for d, j in enumerate(chosen)):
+                chosen.append(i)
+                if extend(depth + 1, i + 1):
+                    return True
+                chosen.pop()
+        return False
 
-def occurrences(host: Permutation, pattern: Permutation) -> list[Occurrence]:
-    """All occurrences of ``pattern`` in ``host``, lexicographic by index tuple."""
-    return [
-        Occurrence(tuple(i + 1 for i in idx))
-        for idx in _iter_occurrence_indices(host.values, pattern.values)
-    ]
+    return extend(0, 0)
 
 
 def delete(perm: Permutation, position: int) -> Permutation:

@@ -26,7 +26,6 @@ from .errors import (
     InvalidParameterError,
     InvalidWidthError,
     NotSortedWindowError,
-    TooManyMembersError,
     WidthExceededError,
     WindowOutOfRangeError,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "bucket_scenario",
     "bucket_phases",
     "bucket_windows",
-    "phase1_move_block",
     "replay",
     "scenario_to_json",
     "scenario_from_json",
@@ -186,36 +184,6 @@ def _convoy_steps(
         steps.append(step)
         s = lo + len(keep)  # the members now fill the window's right end
     return steps
-
-
-def phase1_move_block(
-    perm: Permutation,
-    members: Sequence[int] | frozenset[int],
-    target_range: tuple[int, int],
-    width_limit: int,
-) -> list[DupLossStep]:
-    """Steps that convoy ``members`` into ``target_range`` of ``perm``.
-
-    Requires at most floor(K/2) members (so every window keeps room to slide
-    past them), exactly as many members as target positions, and no member to
-    the right of the target block.
-    """
-    if width_limit < 2:
-        raise InvalidWidthError(f"width limit must be >= 2, got {width_limit}")
-    member_set = frozenset(members)
-    if len(member_set) > width_limit // 2:
-        raise TooManyMembersError(
-            f"{len(member_set)} members exceed floor({width_limit}/2)"
-        )
-    t1, t2 = target_range
-    if not (1 <= t1 <= t2 <= len(perm)):
-        raise WindowOutOfRangeError(f"target range {target_range} outside 1..{len(perm)}")
-    if len(member_set) != t2 - t1 + 1:
-        raise InvalidParameterError("member count must match the target block width")
-    if not member_set <= set(perm.values):
-        raise InvalidParameterError("members must be values of the permutation")
-    work = list(perm.values)
-    return _convoy_steps(work, member_set, t1, t2, width_limit)
 
 
 def bucket_phases(

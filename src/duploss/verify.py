@@ -204,4 +204,6 @@ def run_suite(name: str, max_size: int | None = None) -> list[CheckResult]:
     """Run the named suite, at its own default size unless ``max_size`` is given."""
     if name not in SUITES:
         raise InvalidParameterError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    if max_size is not None and max_size < 1:
+        raise InvalidParameterError(f"max size must be >= 1, got {max_size}")
     return SUITES[name]() if max_size is None else SUITES[name](max_size)

@@ -125,14 +125,12 @@ class TestEnumerate:
     def test_cap_enforced(self):
         with pytest.raises(BudgetExceededError):
             enumerate_class(ClassSpec(2, 1), 11)
-        with pytest.raises(BudgetExceededError):
-            enumerate_class(ClassSpec(2, 1), 5, cap=4)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("DUPLOSS_ENUM_CAP", "3")
         with pytest.raises(BudgetExceededError):
             enumerate_class(ClassSpec(2, 1), 4)
-        assert enumerate_class(ClassSpec(2, 1), 4, cap=4)
+        assert enumerate_class(ClassSpec(2, 1), 3)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidWidthError):

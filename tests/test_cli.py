@@ -114,6 +114,8 @@ class TestErrors:
         (["bench", "--policy", "constant:1", "--sizes", "8"], "InvalidParameterError"),
         (["bench", "--policy", "constant:x", "--sizes", "8"], "InvalidParameterError"),
         (["bench", "--policy", "8", "--sizes", "8", "--samples", "0"], "InvalidParameterError"),
+        (["verify", "--suite", "closure", "--max-size", "-2"], "InvalidParameterError"),
+        (["verify", "--suite", "closure", "--max-size", "0"], "InvalidParameterError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
         assert main(argv) == 2
@@ -122,6 +124,11 @@ class TestErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"duploss: {error}: ")
+
+    def test_non_integer_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("DUPLOSS_ENUM_CAP", "abc")
+        argv = ["class", "enumerate", "--width", "2", "--steps", "1", "--size", "3"]
+        self.test_library_error_is_one_stderr_line(capsys, argv, "InvalidParameterError")
 
 
 class TestVerify:

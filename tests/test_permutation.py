@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from duploss import (
     DuplicateValueError,
-    Occurrence,
     OutOfRangeError,
     Permutation,
     PositionOutOfRangeError,
@@ -17,10 +16,8 @@ from duploss import (
     descents,
     identity,
     inversions,
-    occurrences,
     parse_one_line,
     reversed_identity,
-    standardize,
 )
 from helpers import brute_occurrence_indices, permutations_st
 
@@ -39,7 +36,7 @@ class TestConstruction:
         with pytest.raises(DuplicateValueError):
             Permutation([1, 1, 2])
 
-    @pytest.mark.parametrize("vals", [[0, 1, 2], [1, 2, 4], [2], [-1]])
+    @pytest.mark.parametrize("vals", [[0, 1, 2], [1, 2, 4], [2], [-1], [True], [2, True]])
     def test_out_of_range_rejected(self, vals):
         with pytest.raises(OutOfRangeError):
             Permutation(vals)
@@ -136,38 +133,20 @@ class TestPatterns:
     def test_empty_pattern_always_contained(self):
         for p in (identity(0), identity(4), Permutation([3, 1, 2])):
             assert contains_pattern(p, Permutation(()))
-            assert occurrences(p, Permutation(())) == [Occurrence(())]
-
-    def test_golden_occurrences(self):
-        sigma = Permutation([1, 4, 2, 5, 6, 3])
-        occs = occurrences(sigma, Permutation([1, 3, 4, 2]))
-        assert [o.values_in(sigma) for o in occs] == [
-            (1, 4, 5, 3),
-            (1, 4, 6, 3),
-            (1, 5, 6, 3),
-            (2, 5, 6, 3),
-        ]
-        assert [o.indices for o in occs] == sorted(o.indices for o in occs)
-
-    def test_21_occurrences(self):
-        assert occurrences(identity(4), Permutation([2, 1])) == []
-        occs = occurrences(Permutation([3, 2, 1]), Permutation([2, 1]))
-        assert [o.indices for o in occs] == [(1, 2), (1, 3), (2, 3)]
 
     def test_against_brute_force_exhaustive(self):
         for n in range(6):
             for host in itertools.permutations(range(1, n + 1)):
                 for k in range(4):
                     for patt in itertools.permutations(range(1, k + 1)):
-                        got = [o.indices for o in occurrences(Permutation(host), Permutation(patt))]
-                        assert got == brute_occurrence_indices(host, patt)
+                        got = contains_pattern(Permutation(host), Permutation(patt))
+                        assert got == bool(brute_occurrence_indices(host, patt))
 
     @given(permutations_st(min_n=4, max_n=8), permutations_st(min_n=1, max_n=4))
     @settings(deadline=None, max_examples=80)
     def test_against_brute_force_random(self, host, patt):
-        got = [o.indices for o in occurrences(host, patt)]
-        assert got == brute_occurrence_indices(host.values, patt.values)
-        assert contains_pattern(host, patt) == bool(got)
+        got = contains_pattern(host, patt)
+        assert got == bool(brute_occurrence_indices(host.values, patt.values))
 
     def test_transitivity_spot_check(self):
         rng = random.Random(7)
@@ -204,7 +183,3 @@ class TestDelete:
     def test_deletion_is_a_pattern(self, p):
         for pos in range(1, len(p) + 1):
             assert contains_pattern(p, delete(p, pos))
-
-    def test_standardize(self):
-        assert standardize((4, 1, 2, 3, 7, 6)) == Permutation([4, 1, 2, 3, 6, 5])
-        assert standardize((10, 20)) == Permutation([1, 2])

@@ -14,7 +14,6 @@ from duploss import (
     Permutation,
     Scenario,
     SubWindowTarget,
-    TooManyMembersError,
     WidthExceededError,
     WindowOutOfRangeError,
     apply_step,
@@ -23,7 +22,6 @@ from duploss import (
     bucket_windows,
     descent_count,
     identity,
-    phase1_move_block,
     radix_scenario,
     random_permutation,
     replay,
@@ -31,7 +29,7 @@ from duploss import (
     scenario_from_json,
     scenario_to_json,
 )
-from duploss.scenarios import _radix_steps
+from duploss.scenarios import _convoy_steps, _radix_steps
 from duploss.steps import apply_step_to_list
 
 
@@ -211,55 +209,45 @@ class TestBucket:
 
 
 class TestPhase1MoveBlock:
-    def test_members_already_in_place(self):
-        p = Permutation([4, 5, 1, 2, 3])
-        assert phase1_move_block(p, {2, 3}, (4, 5), 4) == []
-
-    def test_single_member_adjacent(self):
-        p = identity(6)
-        steps = phase1_move_block(p, {5}, (6, 6), 4)
-        assert len(steps) == 1
-        work = list(p.values)
+    @staticmethod
+    def convoy(vals, members, target_start, target_end, limit):
+        """The convoy steps, and ``vals`` after replaying them."""
+        members = frozenset(members)
+        steps = _convoy_steps(list(vals), members, target_start, target_end, limit)
+        work = list(vals)
         for s in steps:
             apply_step_to_list(work, s)
+        return steps, work
+
+    def test_members_already_in_place(self):
+        assert self.convoy([4, 5, 1, 2, 3], {2, 3}, 4, 5, 4) == ([], [4, 5, 1, 2, 3])
+
+    def test_single_member_adjacent(self):
+        steps, work = self.convoy(range(1, 7), {5}, 6, 6, 4)
+        assert len(steps) == 1
         assert work[5] == 5
 
     def test_far_left_step_bound(self):
         # members at the far left moving to the rightmost block
         for n, limit in ((12, 5), (20, 6), (17, 4)):
             half = limit // 2
-            p = identity(n)
             members = set(range(1, half + 1))
-            steps = phase1_move_block(p, members, (n - half + 1, n), limit)
+            steps, work = self.convoy(range(1, n + 1), members, n - half + 1, n, limit)
             bound = math.ceil((n - half) / math.ceil(limit / 2)) + 1
             assert 1 <= len(steps) <= bound
-            work = list(p.values)
-            for s in steps:
-                apply_step_to_list(work, s)
             assert work[n - half :] == sorted(members)
 
     def test_preserves_both_groups_order(self):
-        p = Permutation([3, 6, 1, 8, 2, 7, 4, 5])
+        vals = [3, 6, 1, 8, 2, 7, 4, 5]
         members = {6, 8}
-        steps = phase1_move_block(p, members, (7, 8), 5)
-        work = list(p.values)
-        for s in steps:
-            apply_step_to_list(work, s)
+        steps, work = self.convoy(vals, members, 7, 8, 5)
         assert work[6:] == [6, 8]
-        rest = [v for v in p.values if v not in members]
+        rest = [v for v in vals if v not in members]
         assert [v for v in work if v not in members] == rest
-
-    def test_too_many_members(self):
-        with pytest.raises(TooManyMembersError):
-            phase1_move_block(identity(8), {1, 2, 3}, (6, 8), 4)
-
-    def test_member_count_must_match_block(self):
-        with pytest.raises(ValueError):
-            phase1_move_block(identity(8), {1, 2}, (6, 8), 6)
 
     def test_members_right_of_block_rejected(self):
         with pytest.raises(ValueError):
-            phase1_move_block(identity(8), {8}, (5, 5), 4)
+            self.convoy(range(1, 9), {8}, 5, 5, 4)
 
 
 class TestScenarioJson:
