@@ -166,6 +166,8 @@ def run_benchmark(
     lower-bound-checked."""
     if samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    if any(n < 0 for n in sizes):
+        raise InvalidParameterError(f"sizes must be >= 0, got {sizes}")
     rows = []
     for n in sizes:
         width = policy.width_for(n)

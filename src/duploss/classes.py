@@ -8,14 +8,15 @@ downward under pattern containment, so it is also the avoider set of a basis
 of minimal forbidden patterns; for p = 1 that basis has a closed form.
 
 Exhaustive operations breadth-first-search the successor relation from the
-identity, with one memoized search per (size, effective width) pair.  Each
-state's successors come from the step effects compiled once per (size,
+identity.  Every one of them reaches the memo through ``_search(n, K)``,
+which checks the size cap and keys one search by (n, min(K, n)), so an
+infinite width and any width of at least n share the search at width n.
+Each state's successors come from the step effects compiled once per (size,
 width) in ``steps``; the memo keeps every BFS layer as a list of
 ``Permutation``s built once, when their states are found, so a class at
-budget p is the union of the first p + 1 layers.  The operations
-refuse sizes beyond a cap (default 10) since S_11 and up are beyond desk
-scale; the DUPLOSS_ENUM_CAP environment variable, an integer, is the one
-override.
+budget p is the union of the first p + 1 layers.  The cap (default 10)
+refuses sizes beyond desk scale, S_11 and up; the DUPLOSS_ENUM_CAP
+environment variable, an integer, is the one override.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class ClassSpec:
             raise InvalidWidthError(f"width limit must be >= 2, got {self.width_limit}")
         if self.budget < 0:
             raise InvalidParameterError(f"step budget must be >= 0, got {self.budget}")
-
-    def effective_width(self, n: int) -> int:
-        """Width limit actually usable at size n (infinity acts as n)."""
-        return n if math.isinf(self.width_limit) else min(int(self.width_limit), n)
 
 
 @dataclass(frozen=True)
@@ -132,34 +129,23 @@ class _LayeredSearch:
                 layer.append(make(succ))
         self.layers.append(layer)
 
-    def ensure_depth(self, depth: int) -> None:
-        while self.depth < depth and self.layers[-1]:
+    def grow(self, depth: int | float, state: tuple[int, ...] | None = None) -> None:
+        """Expand layers until ``state`` is found, ``depth`` layers lie past
+        the identity or the search is exhausted."""
+        while self.depth < depth and state not in self.dist and self.layers[-1]:
             self._expand_layer()
-
-    def distance(self, state: tuple[int, ...]) -> int:
-        """Minimal step count to ``state``; expands until found."""
-        while state not in self.dist:
-            if not self.layers[-1]:
-                raise InvalidWidthError(
-                    f"state {state} unreachable at width {self.width}; "
-                    "widths below 2 reach only the identity"
-                )
-            self._expand_layer()
-        return self.dist[state]
-
-    def within(self, state: tuple[int, ...], budget: int) -> bool:
-        while state not in self.dist and self.depth < budget and self.layers[-1]:
-            self._expand_layer()
-        return self.dist.get(state, budget + 1) <= budget
 
 
 _searches: dict[tuple[int, int], _LayeredSearch] = {}
 
 
-def _search(n: int, width: int) -> _LayeredSearch:
-    key = (n, width)
+def _search(n: int, width_limit: int | float) -> _LayeredSearch:
+    """The one memoized search of size n under width limit K (infinity acts
+    as n, and widths below 1 as 1); refuses sizes beyond the cap."""
+    _check_cap(n)
+    key = (n, max(int(min(width_limit, n)), 1))
     if key not in _searches:
-        _searches[key] = _LayeredSearch(n, width)
+        _searches[key] = _LayeredSearch(*key)
     return _searches[key]
 
 
@@ -169,27 +155,30 @@ def clear_search_cache() -> None:
 
 def enumerate_class(spec: ClassSpec, n: int) -> frozenset[Permutation]:
     """All size-n permutations reachable within the spec's budget."""
-    _check_cap(n)
-    search = _search(n, spec.effective_width(n))
-    search.ensure_depth(spec.budget)
+    search = _search(n, spec.width_limit)
+    search.grow(spec.budget)
     return frozenset(itertools.chain.from_iterable(search.layers[: spec.budget + 1]))
 
 
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:
     """Whether ``perm`` is reachable within the spec's budget."""
-    _check_cap(len(perm))
-    search = _search(len(perm), spec.effective_width(len(perm)))
-    return search.within(perm.values, spec.budget)
+    search = _search(len(perm), spec.width_limit)
+    search.grow(spec.budget, perm.values)
+    return search.dist.get(perm.values, spec.budget + 1) <= spec.budget
 
 
 def bfs_min_steps(perm: Permutation, width_limit: int | float) -> int:
     """Minimal number of width-bounded steps building ``perm`` from identity."""
     if width_limit < 1:
         raise InvalidWidthError(f"width limit must be >= 1, got {width_limit}")
-    n = len(perm)
-    _check_cap(n)
-    width = n if math.isinf(width_limit) else min(int(width_limit), n)
-    return _search(n, max(width, 1)).distance(perm.values)
+    search = _search(len(perm), width_limit)
+    search.grow(math.inf, perm.values)
+    if perm.values not in search.dist:
+        raise InvalidWidthError(
+            f"state {perm.values} unreachable at width {search.width}; "
+            "widths below 2 reach only the identity"
+        )
+    return search.dist[perm.values]
 
 
 def one_step_blockers(width_limit: int) -> frozenset[Permutation]:
@@ -249,14 +238,15 @@ def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
     """
     _check_cap(max_size)
     minimal: list[Permutation] = []
+    smaller: frozenset[Permutation] = frozenset()
     for n in range(1, max_size + 1):
         members = enumerate_class(spec, n)
-        smaller = enumerate_class(spec, n - 1) if n > 1 else frozenset()
         for candidate in all_permutations(n):
             if candidate in members:
                 continue
             if all(delete(candidate, pos) in smaller for pos in range(1, n + 1)):
                 minimal.append(candidate)
+        smaller = members
     return PatternBasis(frozenset(minimal), True, "brute-force")
 
 

@@ -16,6 +16,7 @@ deletion position always creates at most one new fixpoint.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import NoWitnessError, ValueOutOfRangeError
@@ -104,31 +105,16 @@ def vp_domain(perm: Permutation) -> frozenset[int]:
     return frozenset(out)
 
 
-def _covered_positions(perm: Permutation) -> list[bool]:
-    n = len(perm)
-    covered = [False] * (n + 1)  # 1-indexed
-    for i in range(1, n + 1):
-        p = perm.position_of(i)
-        if p != i:
-            lo, hi = min(p, i), max(p, i)
-            for j in range(lo, hi + 1):
-                covered[j] = True
-    return covered
-
-
 def free_window_decomposition(perm: Permutation) -> FreeWindowDecomposition:
     """Split 1..n into maximal runs of vp-domain positions and free runs."""
-    n = len(perm)
-    covered = _covered_positions(perm)
+    domain = vp_domain(perm)
     vp_runs: list[tuple[int, int]] = []
     free_runs: list[tuple[int, int]] = []
-    i = 1
-    while i <= n:
-        j = i
-        while j + 1 <= n and covered[j + 1] == covered[i]:
-            j += 1
-        (vp_runs if covered[i] else free_runs).append((i, j))
-        i = j + 1
+    start = 1
+    for covered, run in itertools.groupby(perm.values, key=domain.__contains__):
+        end = start + len(list(run)) - 1
+        (vp_runs if covered else free_runs).append((start, end))
+        start = end + 1
     return FreeWindowDecomposition(tuple(vp_runs), tuple(free_runs))
 
 

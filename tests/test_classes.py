@@ -22,6 +22,7 @@ from duploss import (
     one_step_basis,
     one_step_blockers,
 )
+from duploss import classes
 from duploss.classes import clear_search_cache
 from helpers import brute_distances, brute_one_descent
 
@@ -255,3 +256,13 @@ class TestAgainstBruteSearch:
         clear_search_cache()
         self._check_queries(width, dist)
         self._check_classes(width, dist)
+
+
+def test_widths_at_or_above_size_share_one_search():
+    p = P(2, 5, 1, 4, 3)
+    clear_search_cache()
+    enumerate_class(ClassSpec(math.inf, 1), 5)
+    is_member(p, ClassSpec(9, 2))
+    bfs_min_steps(p, 5)
+    bfs_min_steps(p, math.inf)
+    assert list(classes._searches) == [(5, 5)]

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from duploss import verify
+from duploss.classes import minimal_forbidden_basis
 from duploss.cli import main
 
 
@@ -116,6 +117,9 @@ class TestErrors:
         (["bench", "--policy", "8", "--sizes", "8", "--samples", "0"], "InvalidParameterError"),
         (["verify", "--suite", "closure", "--max-size", "-2"], "InvalidParameterError"),
         (["verify", "--suite", "closure", "--max-size", "0"], "InvalidParameterError"),
+        (["bench", "--policy", "8", "--sizes", "-3"], "InvalidParameterError"),
+        (["class", "basis", "--width", "inf", "--steps", "1", "--theorem"],
+         "InfiniteWidthError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
         assert main(argv) == 2
@@ -124,6 +128,21 @@ class TestErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"duploss: {error}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--algo", "bucket", "--perm", "3,1,2", "--width", "abc"],
+        ["oracle", "min-steps", "--perm", "2,1", "--width", "2.5"],
+        ["step", "apply", "--perm", "1,2,3", "--start", "1", "--width", "2", "--keep", "a"],
+        ["bench", "--policy", "8", "--sizes", "8,x"],
+    ])
+    def test_malformed_number_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith(f"duploss {argv[0]}")
 
     def test_non_integer_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DUPLOSS_ENUM_CAP", "abc")
@@ -144,6 +163,17 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "--suite", "closure")
         assert code == 1
         assert out.splitlines() == ["FAIL broken -- why"]
+
+    def test_basis_suite_stays_within_max_size(self, monkeypatch):
+        sizes = []
+
+        def recording(spec, max_size):
+            sizes.append(max_size)
+            return minimal_forbidden_basis(spec, max_size)
+
+        monkeypatch.setattr(verify, "minimal_forbidden_basis", recording)
+        assert all(ok for _, ok, _ in verify.run_suite("basis", 3))
+        assert sizes and max(sizes) <= 3
 
 
 class TestBench:
