@@ -11,7 +11,6 @@ they vary between runs.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import random
@@ -39,41 +38,45 @@ CSV_VERSION_COMMENT = f"# duploss bench csv v1: {CSV_SCHEMA}"
 
 REVERSED_IDENTITY_SEED = -1  # marks the deterministic worst-case row
 
+# The width rule of each scaled policy kind, for sizes n >= 2.
+_SCALED_WIDTHS = {
+    "full": lambda n: n,
+    "n_over_log": lambda n: math.ceil(n / math.log2(n)),
+    "sqrt": lambda n: math.ceil(math.sqrt(n)),
+}
+
 
 @dataclass(frozen=True)
 class WidthPolicy:
     """How the width limit K depends on the size n.
 
-    kinds: "constant" (fixed c), "full" (K = n), "n_over_log"
-    (ceil(n / log2 n)) and "sqrt" (ceil(sqrt(n))).  The evaluated value is
-    clamped into [2, n] (and to 2 when n < 2).
+    kinds: "constant" (a fixed c) or a scaled kind of ``_SCALED_WIDTHS``:
+    "full" (K = n), "n_over_log" (ceil(n / log2 n)) or "sqrt"
+    (ceil(sqrt(n))).  The evaluated value is clamped into [2, n] (and is 2
+    when n < 2).
     """
 
     kind: str
     constant: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "full", "n_over_log", "sqrt"):
+        if self.kind == "constant":
+            if self.constant is None or self.constant < 2:
+                raise InvalidParameterError("constant policy needs a constant >= 2")
+        elif self.kind not in _SCALED_WIDTHS:
             raise InvalidParameterError(f"unknown width policy kind {self.kind!r}")
-        if self.kind == "constant" and (self.constant is None or self.constant < 2):
-            raise InvalidParameterError("constant policy needs a constant >= 2")
 
     def width_for(self, n: int) -> int:
-        if self.kind == "constant":
-            raw = self.constant
-        elif self.kind == "full":
-            raw = n
-        elif self.kind == "n_over_log":
-            raw = math.ceil(n / math.log2(n)) if n >= 2 else 2
-        else:
-            raw = math.ceil(math.sqrt(n))
-        return max(2, min(n, raw)) if n >= 2 else 2
+        if n < 2:
+            return 2
+        rule = _SCALED_WIDTHS.get(self.kind)
+        return max(2, min(n, rule(n) if rule else self.constant))
 
 
 def parse_width_policy(text: str) -> WidthPolicy:
-    """Parse "constant:8" (or bare "8"), "full", "n_over_log", "sqrt"."""
+    """Parse "constant:8" (or bare "8") or the name of a scaled kind."""
     text = text.strip()
-    if text in ("full", "n_over_log", "sqrt"):
+    if text in _SCALED_WIDTHS:
         return WidthPolicy(text)
     constant = text.removeprefix("constant:").strip()
     if constant.isdecimal():
@@ -178,36 +181,27 @@ def run_benchmark(
     return rows
 
 
+def _cells(r: BenchRow, include_timings: bool) -> tuple:
+    """The row's values in ``CSV_SCHEMA`` order; the wall time, rounded to
+    3 decimals, is None unless timings are requested."""
+    wall = round(r.wall_time_ms, 3) if include_timings else None
+    return (r.n, r.width, r.algorithm, r.seed, r.steps, r.inversions, r.descents, wall)
+
+
 def rows_to_csv(rows: list[BenchRow], include_timings: bool = False) -> str:
     """Render rows under the fixed, versioned schema.
 
     Timings are left blank unless requested, so identical seeds yield
     byte-identical output.
     """
-    buf = io.StringIO()
-    buf.write(CSV_VERSION_COMMENT + "\n")
-    buf.write(CSV_SCHEMA + "\n")
+    lines = [CSV_VERSION_COMMENT, CSV_SCHEMA]
     for r in rows:
-        wall = f"{r.wall_time_ms:.3f}" if include_timings else ""
-        buf.write(
-            f"{r.n},{r.width},{r.algorithm},{r.seed},{r.steps},{r.inversions},{r.descents},{wall}\n"
-        )
-    return buf.getvalue()
+        *cells, wall = _cells(r, include_timings)
+        lines.append(",".join([*map(str, cells), "" if wall is None else f"{wall:.3f}"]))
+    return "".join(line + "\n" for line in lines)
 
 
 def rows_to_json(rows: list[BenchRow], include_timings: bool = False) -> str:
     """JSON mirror of the CSV schema."""
-    payload = []
-    for r in rows:
-        item = {
-            "n": r.n,
-            "K": r.width,
-            "algorithm": r.algorithm,
-            "seed": r.seed,
-            "steps": r.steps,
-            "inversions": r.inversions,
-            "descents": r.descents,
-            "wall_time_ms": round(r.wall_time_ms, 3) if include_timings else None,
-        }
-        payload.append(item)
-    return json.dumps(payload, indent=2)
+    keys = CSV_SCHEMA.split(",")
+    return json.dumps([dict(zip(keys, _cells(r, include_timings))) for r in rows], indent=2)

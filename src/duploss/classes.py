@@ -9,8 +9,9 @@ of minimal forbidden patterns; for p = 1 that basis has a closed form.
 
 Exhaustive operations breadth-first-search the successor relation from the
 identity.  Every one of them reaches the memo through ``_search(n, K)``,
-which checks the size cap and keys one search by (n, min(K, n)), so an
-infinite width and any width of at least n share the search at width n.
+which rejects a negative size, checks the size cap and keys one search by
+(n, min(K, n)), so an infinite width and any width of at least n share the
+search at width n.
 Each state's successors come from the step effects compiled once per (size,
 width) in ``steps``; the memo keeps every BFS layer as a list of
 ``Permutation``s built once, when their states are found, so a class at
@@ -80,7 +81,9 @@ class PatternBasis:
         return sorted(self.patterns, key=lambda p: (len(p), p.values))
 
 
-def _check_cap(n: int) -> None:
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise InvalidParameterError(f"size must be >= 0, got {n}")
     env = os.environ.get("DUPLOSS_ENUM_CAP")
     try:
         limit = int(env) if env else DEFAULT_ENUMERATION_CAP
@@ -141,8 +144,9 @@ _searches: dict[tuple[int, int], _LayeredSearch] = {}
 
 def _search(n: int, width_limit: int | float) -> _LayeredSearch:
     """The one memoized search of size n under width limit K (infinity acts
-    as n, and widths below 1 as 1); refuses sizes beyond the cap."""
-    _check_cap(n)
+    as n, and widths below 1 as 1); refuses negative sizes and sizes beyond
+    the cap."""
+    _check_size(n)
     key = (n, max(int(min(width_limit, n)), 1))
     if key not in _searches:
         _searches[key] = _LayeredSearch(*key)
@@ -236,7 +240,7 @@ def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
     Downward closure of the class makes one-element-deletion minimality
     equivalent to pattern-minimality, so the result is an antichain.
     """
-    _check_cap(max_size)
+    _check_size(max_size)
     minimal: list[Permutation] = []
     smaller: frozenset[Permutation] = frozenset()
     for n in range(1, max_size + 1):

@@ -116,18 +116,13 @@ def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[Dup
 def radix_scenario(target: SubWindowTarget, n: int) -> Scenario:
     """Scenario rearranging one increasing window of identity(n) into ``target``.
 
-    Replaying from identity(n) touches nothing outside the window, so the
-    window of the identity must hold exactly the values ``start..end``;
-    anything else means the increasing-window precondition cannot hold.
+    Replaying from identity(n) touches nothing outside the window, so
+    ``target`` must hold exactly the values ``start..end``; for any other
+    values the window's end-state check raises ``NotSortedWindowError``.
     """
     if target.end > n:
         raise WindowOutOfRangeError(
             f"window [{target.start}, {target.end}] does not fit in size {n}"
-        )
-    if set(target.target) != set(range(target.start, target.end + 1)):
-        raise NotSortedWindowError(
-            f"identity window [{target.start}, {target.end}] does not hold values "
-            f"{sorted(target.target)}"
         )
     width = len(target.target)
     steps = _radix_steps(list(range(1, n + 1)), target.start, target.target)
@@ -160,17 +155,17 @@ def _convoy_steps(
     target_end: int,
     width_limit: int,
 ) -> list[DupLossStep]:
-    """Move ``members`` (currently all at positions <= target_end) rightward so
-    they occupy target_start..target_end, preserving both groups' relative
-    order; mutates ``work`` and returns the steps taken.
+    """Move ``members`` rightward so they occupy target_start..target_end,
+    preserving both groups' relative order; mutates ``work`` and returns the
+    steps taken.
 
     Each step takes the width-K window starting at the leftmost undelivered
     member (clamped so that the final window ends at target_end), keeps the
     non-members in the first copy and the members in the second, advancing the
-    convoy by at least ceil(K/2) positions per step.
+    convoy by at least ceil(K/2) positions per step.  The members must start
+    at positions <= target_end; a member right of the block is left where it
+    is, and the block's end-state check in ``_radix_steps`` reports it.
     """
-    if sum(1 for v in work[:target_end] if v in members) != len(members):
-        raise InvalidParameterError("members must all sit at or left of the target block")
     s = next((i for i, v in enumerate(work, 1) if v in members), target_start)
     steps: list[DupLossStep] = []
     while s < target_start:

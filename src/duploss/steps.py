@@ -7,9 +7,9 @@ their original order) followed by the remaining offsets (in their original
 order); everything outside the window is untouched.  Width-1 steps and keep
 sets that are a prefix {1..j} of the window are legal no-ops.
 
-``_window_order`` is the only definition of that effect: ``apply_step_to_list``
-(used by every generator and by replay) and the compiled successor effects
-both take the window's output order from it.
+``apply_step_to_list`` is the only definition of that effect: every generator
+and replay apply steps through it, and each compiled successor effect is the
+position map it makes of ``list(range(n))``.
 """
 
 from __future__ import annotations
@@ -62,17 +62,16 @@ def _check_window(step: DupLossStep, n: int) -> None:
         )
 
 
-def _window_order(width: int, keep: frozenset[int]) -> list[int]:
-    """The window's output order under a step: the 0-based offsets kept in the
-    first copy, then the lost ones, each group in its original order."""
-    return sorted(o - 1 for o in keep) + [o - 1 for o in range(1, width + 1) if o not in keep]
-
-
 def apply_step_to_list(values: list[int], step: DupLossStep) -> None:
-    """In-place core of apply_step; callers guarantee the window fits."""
-    lo = step.start - 1
+    """In-place core of apply_step; callers guarantee the window fits.
+
+    The window becomes its entries at kept offsets, then the others, each
+    group in its original order.
+    """
+    lo, keep = step.start - 1, step.keep
     window = values[lo : lo + step.width]
-    values[lo : lo + step.width] = [window[o] for o in _window_order(step.width, step.keep)]
+    kept = [v for o, v in enumerate(window, 1) if o in keep]
+    values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
 
 
 def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
@@ -94,10 +93,10 @@ def _effects(n: int, width: int) -> tuple[operator.itemgetter, ...]:
     permutations, each compiled to an ``operator.itemgetter`` over its
     position map (output position i takes the entry at input position map[i]).
 
-    Each keep set of each window is turned into its window order by
-    ``_window_order``; those whose order is the identity order (the prefixes
-    {1..j}) are no-ops and are skipped.  Steps on different windows often
-    share an effect, which is kept once: at n=8, width 3, the 31 non-no-op
+    Each step's map is ``apply_step_to_list`` applied to ``list(range(n))``;
+    the identity map, made by the no-op keep sets (the prefixes {1..j}), is
+    dropped.  Steps on different windows often share an effect, which is kept
+    once, in order of first appearance: at n=8, width 3, the 31 non-no-op
     steps have 19 distinct effects.  An effect needs a window of width >= 2,
     so sizes n <= 1 have none, and otherwise every map has length n >= 2, for
     which ``itemgetter`` returns a tuple (with a single index it would return
@@ -108,9 +107,10 @@ def _effects(n: int, width: int) -> tuple[operator.itemgetter, ...]:
         for w in range(2, min(width, n - lo) + 1):
             for mask in range(1 << w):
                 keep = frozenset(o + 1 for o in range(w) if mask >> o & 1)
-                order = [lo + o for o in _window_order(w, keep)]
-                if order != list(range(lo, lo + w)):
-                    maps.setdefault((*range(lo), *order, *range(lo + w, n)), None)
+                positions = list(range(n))
+                apply_step_to_list(positions, DupLossStep(lo + 1, w, keep))
+                maps.setdefault(tuple(positions), None)
+    maps.pop(tuple(range(n)), None)
     return tuple(operator.itemgetter(*m) for m in maps)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -120,6 +121,10 @@ class TestErrors:
         (["bench", "--policy", "8", "--sizes", "-3"], "InvalidParameterError"),
         (["class", "basis", "--width", "inf", "--steps", "1", "--theorem"],
          "InfiniteWidthError"),
+        (["class", "enumerate", "--width", "3", "--steps", "1", "--size", "-1"],
+         "InvalidParameterError"),
+        (["class", "basis", "--width", "3", "--steps", "1", "--max-size", "-1"],
+         "InvalidParameterError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
         assert main(argv) == 2
@@ -209,3 +214,37 @@ class TestBench:
         assert code == 0
         payload = json.loads(json_path.read_text())
         assert len(payload) == 3
+
+
+class TestGoldenStdout:
+    """sha256 of each command's stdout.  Together the commands run the step
+    kernel, both generators, the class search, the bench writer and the four
+    verify suites, so a refactor that changes what any of them prints fails
+    here."""
+
+    STDOUT_SHA256 = {
+        "bench --policy constant:8 --sizes 64,128,256 --samples 20 --seed 42":
+            "b7fdccda093b0ed1379b0efb37eb7a395aeaf700b06c342d17ea732d5f49bbab",
+        "class enumerate --width 3 --steps 2 --size 7":
+            "2890682faf22c782836844e3f293a9533b82c8416d0e82b753d099c02a40a887",
+        "class basis --width 3 --steps 1 --max-size 5":
+            "e31e12b1ac1fc1150dbd760cda8ea84f3a78eb458a547fd9bd1017e0aa7cc64a",
+        "oracle min-steps --perm 6,5,4,3,2,1 --width 2":
+            "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f",
+        "scenario --algo radix --perm 3,1,4,2 --emit json":
+            "9e493298a4976e36986b3fcfb01354caac809c4d18d561ec24028e1207e1eba8",
+        "verify --suite lemmas":
+            "ce8842c49dd659aa16bd6fb7e835eba8ee9d793a351ccc72461c9f5f12caeeb8",
+        "verify --suite closure":
+            "4a0c59ac0fe40eaa9b9120e6e4c1a197eb8b2ba21cfdf9de3c3b169dff021269",
+        "verify --suite basis":
+            "729df6290624a2738c3ce56aa7901f53e24b24f94963c9891453b1911cba2191",
+        "verify --suite whole-genome":
+            "4eca0b13c91f915770dbafcaaf58ea117700d9611fd9b95f89c511522789c658",
+    }
+
+    @pytest.mark.parametrize("command", STDOUT_SHA256)
+    def test_stdout_digest(self, capsys, command):
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[command]
