@@ -8,7 +8,6 @@ sorts the labels least-significant-bit first; one step per bit.
 
 from duploss import (
     Permutation,
-    SubWindowTarget,
     ascending_run_partition,
     bfs_min_steps,
     descent_count,
@@ -24,7 +23,7 @@ print(f"maximal increasing runs: {[tuple(target.values[a - 1 : b]) for a, b in r
 print(f"descents: {descent_count(target)} -> ceil(log2(desc+1)) = "
       f"{descent_count(target).bit_length()} steps")
 
-scenario = radix_scenario(SubWindowTarget(1, target.values), len(target))
+scenario = radix_scenario(target)
 state = list(range(1, len(target) + 1))
 print(f"\nstart   {','.join(map(str, state))}")
 for i, step in enumerate(scenario.steps, start=1):
@@ -43,6 +42,7 @@ agree = all(
 )
 print(f"  agree on all 120 permutations: {agree}")
 
-# The same generator works on an inner window, leaving the rest untouched.
-inner = radix_scenario(SubWindowTarget(3, (5, 3, 6, 4)), 7)
+# A target that rearranges only positions 3..6 is built the same way, by
+# whole-permutation steps; the entries outside end where they started.
+inner = radix_scenario(Permutation([1, 2, 5, 3, 6, 4, 7]))
 print(f"\nrearranging only positions 3..6 of the identity of size 7: {replay(inner)}")

@@ -41,15 +41,9 @@ from .classes import (
     minimal_forbidden_basis,
     one_step_basis,
 )
-from .errors import DupLossError
+from .errors import DupLossError, InvalidParameterError
 from .permutation import parse_one_line
-from .scenarios import (
-    SubWindowTarget,
-    bucket_scenario,
-    radix_scenario,
-    replay,
-    scenario_to_json,
-)
+from .scenarios import bucket_scenario, radix_scenario, replay, scenario_to_json
 from .steps import DupLossStep, apply_step
 from .verify import SUITES, run_suite
 
@@ -69,11 +63,10 @@ def _cmd_step_apply(args) -> int:
 
 def _cmd_scenario(args) -> int:
     if args.algo == "radix":
-        scenario = radix_scenario(SubWindowTarget(1, args.perm.values), len(args.perm))
+        scenario = radix_scenario(args.perm)
+    elif args.width is None:
+        raise InvalidParameterError("bucket scenarios need --width")
     else:
-        if args.width is None:
-            print("bucket scenarios need --width", file=sys.stderr)
-            return 2
         scenario = bucket_scenario(args.perm, args.width)
     if args.emit == "json":
         print(json.dumps(scenario_to_json(scenario), indent=2))
@@ -93,13 +86,11 @@ def _cmd_class_enumerate(args) -> int:
 def _cmd_class_basis(args) -> int:
     if args.theorem:
         if args.steps != 1:
-            print("the closed-form basis exists only for one step", file=sys.stderr)
-            return 2
+            raise InvalidParameterError("the closed-form basis exists only for one step")
         basis = one_step_basis(args.width)
         max_size = args.width + 1
     elif args.max_size is None:
-        print("class basis needs --max-size (or --theorem)", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("class basis needs --max-size (or --theorem)")
     else:
         basis = minimal_forbidden_basis(ClassSpec(args.width, args.steps), args.max_size)
         max_size = args.max_size

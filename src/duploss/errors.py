@@ -24,10 +24,6 @@ class PositionOutOfRangeError(DupLossError):
     """A position index falls outside 1..n."""
 
 
-class ValueOutOfRangeError(DupLossError):
-    """A value falls outside 1..n."""
-
-
 class WindowOutOfRangeError(DupLossError):
     """A duplication window does not fit inside the permutation."""
 

@@ -3,12 +3,11 @@ target permutation from the identity.
 
 Two generators are provided.
 
-``radix_scenario`` rearranges one window whose current content is increasing.
-Entries are labelled by the 0-based index of the maximal increasing run of the
-target arrangement they belong to, and one step per label bit (least
-significant first) keeps the 0-bit entries in the first copy.  This is a
-stable radix sort of the labels and finishes in exactly
-ceil(log2(descents + 1)) steps, each spanning the whole window.
+``radix_scenario`` is the unbounded model (K >= n).  Entries are labelled by
+the 0-based index of the maximal increasing run of the target they belong to,
+and one step per label bit (least significant first) keeps the 0-bit entries
+in the first copy.  This is a stable radix sort of the labels and finishes in
+exactly ceil(log2(descents + 1)) steps, each spanning the whole permutation.
 
 ``bucket_scenario`` handles arbitrary targets under a width limit K.  Working
 right to left in blocks of floor(K/2) positions (plus a leftmost remainder
@@ -27,14 +26,12 @@ from .errors import (
     InvalidWidthError,
     NotSortedWindowError,
     WidthExceededError,
-    WindowOutOfRangeError,
 )
 from .permutation import Permutation
 from .steps import DupLossStep, _check_window, apply_step_to_list, step_from_json, step_to_json
 
 __all__ = [
     "Scenario",
-    "SubWindowTarget",
     "radix_scenario",
     "bucket_scenario",
     "bucket_phases",
@@ -60,29 +57,6 @@ class Scenario:
     @property
     def step_count(self) -> int:
         return len(self.steps)
-
-
-@dataclass(frozen=True)
-class SubWindowTarget:
-    """A contiguous window plus the arrangement its values should take.
-
-    The window's current content is assumed increasing; ``target`` must be a
-    rearrangement of exactly those values.
-    """
-
-    start: int
-    target: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", tuple(self.target))
-        if self.start < 1:
-            raise WindowOutOfRangeError(f"window start {self.start} must be >= 1")
-        if len(set(self.target)) != len(self.target):
-            raise InvalidParameterError("target arrangement repeats a value")
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.target) - 1
 
 
 def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[DupLossStep]:
@@ -113,20 +87,12 @@ def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[Dup
     return steps
 
 
-def radix_scenario(target: SubWindowTarget, n: int) -> Scenario:
-    """Scenario rearranging one increasing window of identity(n) into ``target``.
-
-    Replaying from identity(n) touches nothing outside the window, so
-    ``target`` must hold exactly the values ``start..end``; for any other
-    values the window's end-state check raises ``NotSortedWindowError``.
-    """
-    if target.end > n:
-        raise WindowOutOfRangeError(
-            f"window [{target.start}, {target.end}] does not fit in size {n}"
-        )
-    width = len(target.target)
-    steps = _radix_steps(list(range(1, n + 1)), target.start, target.target)
-    return Scenario(n, width if width else 1, tuple(steps))
+def radix_scenario(target: Permutation) -> Scenario:
+    """Scenario building ``target`` from the identity with whole-permutation
+    steps, under width limit n (1 when n = 0)."""
+    n = len(target)
+    steps = _radix_steps(list(range(1, n + 1)), 1, target.values)
+    return Scenario(n, max(n, 1), tuple(steps))
 
 
 def bucket_windows(n: int, width_limit: int | float) -> list[tuple[int, int]]:
@@ -162,9 +128,10 @@ def _convoy_steps(
     Each step takes the width-K window starting at the leftmost undelivered
     member (clamped so that the final window ends at target_end), keeps the
     non-members in the first copy and the members in the second, advancing the
-    convoy by at least ceil(K/2) positions per step.  The members must start
-    at positions <= target_end; a member right of the block is left where it
-    is, and the block's end-state check in ``_radix_steps`` reports it.
+    convoy by at least ceil(K/2) positions per step.  The step whose window
+    ends at target_end is the last.  Members that do not fit the block (too
+    many of them, or one right of it) are left out of place, and the block's
+    end-state check in ``_radix_steps`` reports them.
     """
     s = next((i for i, v in enumerate(work, 1) if v in members), target_start)
     steps: list[DupLossStep] = []
@@ -177,6 +144,8 @@ def _convoy_steps(
         step = DupLossStep(lo, hi - lo + 1, keep)
         apply_step_to_list(work, step)
         steps.append(step)
+        if hi == target_end:
+            break
         s = lo + len(keep)  # the members now fill the window's right end
     return steps
 

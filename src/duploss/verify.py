@@ -29,7 +29,7 @@ from .permutation import (
     delete,
     descent_count,
 )
-from .scenarios import SubWindowTarget, radix_scenario, replay
+from .scenarios import radix_scenario, replay
 from .vp import fixpoints, removal_span_stability, safe_removal_position, vp_domain, vp_vectors
 
 CheckResult = tuple[str, bool, str]
@@ -173,7 +173,7 @@ def suite_whole_genome(max_n: int = 6) -> list[CheckResult]:
             expected = descent_count(p).bit_length()
             if bfs_min_steps(p, n) != expected:
                 bad_counts.append(p)
-            scenario = radix_scenario(SubWindowTarget(1, p.values), n)
+            scenario = radix_scenario(p)
             if scenario.step_count != expected or replay(scenario) != p:
                 bad_replay.append(p)
     results.append(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NoWitnessError, ValueOutOfRangeError
+from .errors import NoWitnessError
 from .permutation import Permutation, delete
 
 __all__ = [
@@ -81,9 +81,6 @@ class FreeWindowDecomposition:
 
 def vp_vector(perm: Permutation, value: int) -> VpVector:
     """The vp-vector of one value; empty when the value is a fixpoint."""
-    n = len(perm)
-    if not 1 <= value <= n:
-        raise ValueOutOfRangeError(f"value {value} outside 1..{n}")
     from_pos = perm.position_of(value)
     to_pos = value
     if from_pos == to_pos:

@@ -49,10 +49,6 @@ class TestScenario:
         assert obj["width_limit"] == 6
         assert all(step["width"] <= 6 for step in obj["steps"])
 
-    def test_bucket_needs_width(self, capsys):
-        code = main(["scenario", "--algo", "bucket", "--perm", "2,1"])
-        assert code == 2
-
 
 class TestClass:
     def test_enumerate(self, capsys):
@@ -80,9 +76,6 @@ class TestClass:
         obj = json.loads(out)
         assert obj["patterns"] == ["2,3,1", "3,1,2", "3,2,1", "2,1,4,3"]
         assert obj["provenance"] == "brute-force"
-
-    def test_basis_needs_max_size(self):
-        assert main(["class", "basis", "--width", "2", "--steps", "1"]) == 2
 
     def test_member(self, capsys):
         code, out = run_cli(
@@ -124,6 +117,10 @@ class TestErrors:
         (["class", "enumerate", "--width", "3", "--steps", "1", "--size", "-1"],
          "InvalidParameterError"),
         (["class", "basis", "--width", "3", "--steps", "1", "--max-size", "-1"],
+         "InvalidParameterError"),
+        (["scenario", "--algo", "bucket", "--perm", "2,1"], "InvalidParameterError"),
+        (["class", "basis", "--width", "2", "--steps", "1"], "InvalidParameterError"),
+        (["class", "basis", "--width", "3", "--steps", "2", "--theorem"],
          "InvalidParameterError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
@@ -220,7 +217,7 @@ class TestGoldenStdout:
     """sha256 of each command's stdout.  Together the commands run the step
     kernel, both generators, the class search, the bench writer and the four
     verify suites, so a refactor that changes what any of them prints fails
-    here."""
+    here.  The radix scenario at n = 1 pins its width limit of n."""
 
     STDOUT_SHA256 = {
         "bench --policy constant:8 --sizes 64,128,256 --samples 20 --seed 42":
@@ -233,6 +230,10 @@ class TestGoldenStdout:
             "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f",
         "scenario --algo radix --perm 3,1,4,2 --emit json":
             "9e493298a4976e36986b3fcfb01354caac809c4d18d561ec24028e1207e1eba8",
+        "scenario --algo radix --perm 1 --emit json":
+            "616f5849a3f8e3e8464ecc9f58e7ab9b562e4a430e1b8062918e93a017d576c1",
+        "scenario --algo bucket --perm 2,10,1,7,6,5,8,9,3,4 --width 6 --emit json":
+            "a850210547035baa33d397728ef60f2bc8f7e36c85c60982daf8eb9a016f6799",
         "verify --suite lemmas":
             "ce8842c49dd659aa16bd6fb7e835eba8ee9d793a351ccc72461c9f5f12caeeb8",
         "verify --suite closure":

@@ -13,7 +13,6 @@ from duploss import (
     NotSortedWindowError,
     Permutation,
     Scenario,
-    SubWindowTarget,
     WidthExceededError,
     WindowOutOfRangeError,
     apply_step,
@@ -40,54 +39,37 @@ def steps_formula(p: Permutation) -> int:
 
 class TestRadix:
     def test_identity_target_needs_no_steps(self):
-        sc = radix_scenario(SubWindowTarget(1, (1, 2, 3, 4)), 4)
+        sc = radix_scenario(identity(4))
         assert sc.step_count == 0
         assert replay(sc) == identity(4)
+        assert radix_scenario(Permutation(())).width_limit == 1
 
     def test_one_descent_needs_one_step(self):
         for vals in itertools.permutations(range(1, 5)):
             p = Permutation(vals)
             if descent_count(p) == 1:
-                sc = radix_scenario(SubWindowTarget(1, vals), 4)
+                sc = radix_scenario(p)
                 assert sc.step_count == 1
                 assert replay(sc) == p
 
     def test_3142_takes_two_steps(self):
-        sc = radix_scenario(SubWindowTarget(1, (3, 1, 4, 2)), 4)
+        sc = radix_scenario(Permutation([3, 1, 4, 2]))
         assert sc.step_count == 2
         assert replay(sc) == Permutation([3, 1, 4, 2])
-
-    def test_inner_window_untouched_outside(self):
-        sc = radix_scenario(SubWindowTarget(3, (5, 3, 6, 4)), 7)
-        final = replay(sc)
-        assert final == Permutation([1, 2, 5, 3, 6, 4, 7])
-        assert all(s.start == 3 and s.width == 4 for s in sc.steps)
 
     def test_exhaustive_step_count_and_round_trip(self):
         for n in range(0, 7):
             for vals in itertools.permutations(range(1, n + 1)):
                 p = Permutation(vals)
-                sc = radix_scenario(SubWindowTarget(1, vals), n)
+                sc = radix_scenario(p)
                 assert sc.step_count == steps_formula(p)
                 assert replay(sc) == p
-
-    def test_rejects_mismatched_window_values(self):
-        with pytest.raises(NotSortedWindowError):
-            radix_scenario(SubWindowTarget(2, (1, 2, 3)), 5)
-
-    def test_rejects_overflowing_window(self):
-        with pytest.raises(WindowOutOfRangeError):
-            radix_scenario(SubWindowTarget(3, (3, 4, 5, 6)), 5)
 
     @pytest.mark.parametrize("work, target", [([2, 1], (1, 2)), ([1, 2, 3, 4], (5, 4))])
     def test_end_state_check(self, work, target):
         # a window not holding target's values in increasing order is reported
         with pytest.raises(NotSortedWindowError):
             _radix_steps(work, 1, target)
-
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            SubWindowTarget(1, (2, 2, 3))
 
 
 class TestReplay:
@@ -245,6 +227,12 @@ class TestPhase1MoveBlock:
             assert 1 <= len(steps) <= bound
             assert work[n - half :] == sorted(members)
 
+    def test_surplus_members_end_at_the_block(self):
+        # more members than the block holds: the step ending at the block's end
+        # is the last, and the block's end-state check reports the surplus
+        steps, _ = self.convoy(range(1, 9), {1, 2, 3}, 7, 8, 4)
+        assert steps[-1].end == 8
+
     def test_preserves_both_groups_order(self):
         vals = [3, 6, 1, 8, 2, 7, 4, 5]
         members = {6, 8}
@@ -290,7 +278,7 @@ class TestGoldenTranscripts:
         # K = 57 is the n_over_log width at n = 512
         (lambda: bucket_scenario(random_permutation(512, 3), 57),
          "80058904c95d607ad64cea699265004240fcd6dc82203c561e2be4c1c26ba709"),
-        (lambda: radix_scenario(SubWindowTarget(1, (9, 1, 8, 2, 7, 3, 6, 4, 5)), 9),
+        (lambda: radix_scenario(Permutation([9, 1, 8, 2, 7, 3, 6, 4, 5])),
          "ccd8f57f4a529061c676ecf794c55dadafd6fee22b8fd0c2926ceeecbad4f67e"),
     ], ids=["random256-K8", "reversed256-K8", "random512-K57", "radix9"])
     def test_transcript_digest(self, make, digest):

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from duploss import (
+    OutOfRangeError,
     Permutation,
-    ValueOutOfRangeError,
     delete,
     fixpoints,
     format_vp_vectors,
@@ -48,7 +48,7 @@ class TestVpVector:
                     assert vec.is_empty or vec.size >= 2
 
     def test_value_out_of_range(self):
-        with pytest.raises(ValueOutOfRangeError):
+        with pytest.raises(OutOfRangeError):
             vp_vector(SIGMA, 8)
 
 
