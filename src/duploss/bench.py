@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, InvalidWidthError
 from .permutation import Permutation, descent_count, inversions, reversed_identity
 from .scenarios import bucket_scenario, replay
 
@@ -94,25 +94,31 @@ def random_permutation(n: int, seed: int) -> Permutation:
     return Permutation(vals)
 
 
-def _lower_bound(d: int, inv: int, width_limit: int) -> int:
+def _lower_bound(n: int, d: int, inv: int, width_limit: int) -> int:
     """The larger of the descent term ceil(log2(d + 1)) and the inversion
-    term ceil(inv / floor(K^2/4)), for d descents and inv inversions."""
+    term ceil(inv / floor(K^2/4)), for a size-n permutation with d descents
+    and inv inversions.  K may be ``math.inf``; it is taken as at most n,
+    since no window is wider than the permutation.  Sizes 0 and 1 need no
+    step."""
+    if width_limit < 2:
+        raise InvalidWidthError(f"width limit must be >= 2, got {width_limit}")
+    if n <= 1:
+        return 0
+    k = min(width_limit, n)
     log_term = d.bit_length()  # == ceil(log2(d + 1))
-    inv_term = math.ceil(inv / (width_limit * width_limit // 4))
+    inv_term = math.ceil(inv / (k * k // 4))
     return max(log_term, inv_term)
 
 
 def lower_bound_steps(n: int, width_limit: int) -> int:
     """Steps certifiably necessary for the worst permutation of size n: the
     bound of a permutation with n - 1 descents and n(n-1)/2 inversions."""
-    if n <= 1:
-        return 0
-    return _lower_bound(n - 1, n * (n - 1) // 2, width_limit)
+    return _lower_bound(n, n - 1, n * (n - 1) // 2, width_limit)
 
 
 def per_permutation_lower_bound(perm: Permutation, width_limit: int) -> int:
     """Steps certifiably necessary for this particular permutation."""
-    return _lower_bound(descent_count(perm), inversions(perm), width_limit)
+    return _lower_bound(len(perm), descent_count(perm), inversions(perm), width_limit)
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ def _bench_one(perm: Permutation, width: int, seed: int) -> BenchRow:
         raise RuntimeError(f"scenario for {perm} replayed to {final}")
     steps = scenario.step_count
     inv, d = inversions(perm), descent_count(perm)
-    bound = _lower_bound(d, inv, width)
+    bound = _lower_bound(len(perm), d, inv, width)
     if steps < bound:
         raise RuntimeError(f"step count {steps} below certified lower bound {bound}")
     return BenchRow(

@@ -14,7 +14,7 @@ All operations are pure; ``Permutation`` objects are immutable and hashable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateValueError, OutOfRangeError, PositionOutOfRangeError
 
@@ -142,11 +142,32 @@ def descent_count(perm: Permutation) -> int:
     return sum(1 for i in range(len(v) - 1) if v[i] > v[i + 1])
 
 
+def _count_inversions(values: Sequence[int]) -> int:
+    """Pairs i < j with values[i] > values[j], for distinct values in
+    1..len(values): each entry adds the number of larger entries before it,
+    read off a Fenwick tree over the values seen so far.  O(n log n)."""
+    n = len(values)
+    tree = [0] * (n + 1)
+    count = 0
+    for seen, v in enumerate(values):
+        i, not_larger = v, 0
+        while i:
+            not_larger += tree[i]
+            i &= i - 1
+        count += seen - not_larger
+        while v <= n:
+            tree[v] += 1
+            v += v & -v
+    return count
+
+
 def inversions(perm: Permutation) -> int:
-    """Number of pairs i < j with sigma_i > sigma_j.  O(n^2), fine at desk scale."""
-    v = perm.values
-    n = len(v)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
+    """Number of pairs i < j with sigma_i > sigma_j.
+
+    >>> inversions(Permutation([5, 2, 4, 3, 1, 6]))
+    8
+    """
+    return _count_inversions(perm.values)
 
 
 def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, WindowOutOfRangeError
-from .permutation import Permutation, inversions
+from .permutation import Permutation, _count_inversions
 
 __all__ = [
     "DupLossStep",
@@ -138,11 +138,22 @@ def successors(perm: Permutation, width_limit: int) -> set[Permutation]:
 def inversions_created(perm: Permutation, step: DupLossStep) -> int:
     """Inversion count change caused by one step (may be negative).
 
+    Only pairs inside the window can change order, so only the window is
+    counted: its entries are ranked, and the result is the inversions of the
+    ranks after the step minus those before.
+
     For a step of width k this is never more than floor(k^2 / 4): new
     inversions only pair a kept-first entry with a kept-second one, giving at
     most i*(k-i) of them when i offsets are kept.
     """
-    return inversions(apply_step(perm, step)) - inversions(perm)
+    _check_window(step, len(perm))
+    lo = step.start - 1
+    window = perm.values[lo : lo + step.width]
+    rank = {v: r for r, v in enumerate(sorted(window), 1)}
+    ranks = [rank[v] for v in window]
+    before = _count_inversions(ranks)
+    apply_step_to_list(ranks, DupLossStep(1, step.width, step.keep))
+    return _count_inversions(ranks) - before
 
 
 def step_to_json(step: DupLossStep) -> dict:

@@ -3,8 +3,10 @@ import math
 import pytest
 
 from duploss import (
+    InvalidWidthError,
     Permutation,
     WidthPolicy,
+    all_permutations,
     bfs_min_steps,
     descent_count,
     identity,
@@ -68,6 +70,26 @@ class TestLowerBounds:
         assert per_permutation_lower_bound(identity(6), 4) == 0
         # descent term: one descent -> at least one step
         assert per_permutation_lower_bound(Permutation([1, 3, 2]), 3) == 1
+
+    def test_width_below_two_rejected(self):
+        for width in (0, 1):
+            with pytest.raises(InvalidWidthError):
+                per_permutation_lower_bound(Permutation([2, 1]), width)
+            with pytest.raises(InvalidWidthError):
+                lower_bound_steps(5, width)
+
+    def test_infinite_width_is_full_width(self):
+        for n in range(2, 9):
+            assert lower_bound_steps(n, math.inf) == lower_bound_steps(n, n)
+            assert lower_bound_steps(n, n + 3) == lower_bound_steps(n, n)
+        for p in all_permutations(5):
+            assert per_permutation_lower_bound(p, math.inf) == per_permutation_lower_bound(p, 5)
+
+    def test_sizes_zero_and_one_need_no_step(self):
+        for width in (2, 7, math.inf):
+            for n in (0, 1):
+                assert lower_bound_steps(n, width) == 0
+                assert per_permutation_lower_bound(identity(n), width) == 0
 
 
 class TestWidthPolicy:

@@ -17,9 +17,10 @@ from duploss import (
     identity,
     inversions,
     parse_one_line,
+    random_permutation,
     reversed_identity,
 )
-from helpers import brute_occurrence_indices, permutations_st
+from helpers import brute_occurrence_indices, inversion_count, permutations_st
 
 
 class TestConstruction:
@@ -90,6 +91,25 @@ class TestStatistics:
         for n in range(7):
             assert inversions(identity(n)) == 0
             assert inversions(reversed_identity(n)) == n * (n - 1) // 2
+
+
+class TestInversionsAgainstAllPairs:
+    """The Fenwick-tree count against the all-pairs count it replaced."""
+
+    def test_every_permutation_through_s8(self):
+        for n in range(9):
+            for vals in itertools.permutations(range(1, n + 1)):
+                assert inversions(Permutation(vals)) == inversion_count(vals)
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_seeded_uniform(self, n):
+        for seed in range(3):
+            p = random_permutation(n, seed)
+            assert inversions(p) == inversion_count(p.values)
+
+    def test_reversed_identity_2048(self):
+        p = reversed_identity(2048)
+        assert inversions(p) == inversion_count(p.values) == 2048 * 2047 // 2
 
 
 class TestRuns:

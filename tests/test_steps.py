@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,13 @@ from duploss import (
     identity,
     inversions,
     inversions_created,
+    random_permutation,
     step_from_json,
     step_to_json,
     successors,
 )
 from duploss.steps import successor_values
-from helpers import brute_successors, permutations_st
+from helpers import brute_successors, inversion_count, permutations_st
 
 
 class TestApplyStep:
@@ -134,15 +136,36 @@ class TestInversionsCreated:
         assert best == k * k // 4
 
     def test_bound_holds_for_all_hosts(self):
-        # every width-k step on every size-5 host creates at most floor(k^2/4)
+        # every width-k step on every size-5 host creates at most floor(k^2/4),
+        # and the window-only count equals the whole-permutation difference
         for vals in itertools.permutations(range(1, 6)):
             p = Permutation(vals)
             for start in range(1, 6):
                 for width in range(1, 7 - start):
                     for mask in range(1 << width):
                         keep = frozenset(o + 1 for o in range(width) if (mask >> o) & 1)
-                        created = inversions_created(p, DupLossStep(start, width, keep))
+                        step = DupLossStep(start, width, keep)
+                        created = inversions_created(p, step)
                         assert created <= width * width // 4
+                        after = apply_step(p, step).values
+                        assert created == inversion_count(after) - inversion_count(vals)
+
+    def test_matches_whole_permutation_difference_at_n64(self):
+        rng = random.Random(64)
+        for seed in range(3):
+            p = random_permutation(64, seed)
+            for width in range(1, 17):
+                for _ in range(8):
+                    start = rng.randint(1, 65 - width)
+                    keep = frozenset(o for o in range(1, width + 1) if rng.random() < 0.5)
+                    step = DupLossStep(start, width, keep)
+                    created = inversions_created(p, step)
+                    after = apply_step(p, step).values
+                    assert created == inversion_count(after) - inversion_count(p.values)
+
+    def test_window_must_fit(self):
+        with pytest.raises(WindowOutOfRangeError):
+            inversions_created(identity(4), DupLossStep(3, 3, frozenset({1})))
 
     def test_can_be_negative(self):
         p = Permutation([2, 1])
