@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, InvalidWidthError
+from .errors import InvalidParameterError, InvalidWidthError, VerificationError
 from .permutation import Permutation, descent_count, inversions, reversed_identity
 from .scenarios import bucket_scenario, replay
 
@@ -149,12 +149,12 @@ def _bench_one(perm: Permutation, width: int, seed: int) -> BenchRow:
     final = replay(scenario)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if final != perm:
-        raise RuntimeError(f"scenario for {perm} replayed to {final}")
+        raise VerificationError(f"scenario for {perm} replayed to {final}")
     steps = scenario.step_count
     inv, d = inversions(perm), descent_count(perm)
     bound = _lower_bound(len(perm), d, inv, width)
     if steps < bound:
-        raise RuntimeError(f"step count {steps} below certified lower bound {bound}")
+        raise VerificationError(f"step count {steps} below certified lower bound {bound}")
     return BenchRow(
         n=len(perm),
         width=width,

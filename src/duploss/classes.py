@@ -13,9 +13,9 @@ which rejects a negative size, checks the size cap and keys one search by
 (n, min(K, n)), so an infinite width and any width of at least n share the
 search at width n.
 Each state's successors come from the step effects compiled once per (size,
-width) in ``steps``; the memo keeps every BFS layer as a list of
-``Permutation``s built once, when their states are found, so a class at
-budget p is the union of the first p + 1 layers.  The cap (default 10)
+width) in ``steps``; the memo keeps one ``Permutation`` per state, built
+when the state is found, as both its distance key and its entry in its BFS
+layer, so a class at budget p is the union of the first p + 1 layers.  The cap (default 10)
 refuses sizes beyond desk scale, S_11 and up; the DUPLOSS_ENUM_CAP
 environment variable, an integer, is the one override.
 """
@@ -78,7 +78,7 @@ class PatternBasis:
     provenance: str  # "theorem-constructed" | "brute-force"
 
     def sorted_patterns(self) -> list[Permutation]:
-        return sorted(self.patterns, key=lambda p: (len(p), p.values))
+        return sorted(self.patterns, key=lambda p: (len(p), p))
 
 
 def _check_size(n: int) -> None:
@@ -100,19 +100,21 @@ def _check_size(n: int) -> None:
 class _LayeredSearch:
     """Breadth-first layers of the successor relation from identity(n).
 
-    ``dist`` maps each visited one-line tuple to its step distance, and
-    ``layers[d]`` lists the states at distance d as ``Permutation``s, each
-    built once, when its state is found.  Layers are expanded on demand and
-    kept, so later queries at the same (n, width) reuse all earlier work; an
-    empty last layer means the search is exhausted.
+    Each visited state is one ``Permutation``, built when it is found: the
+    key of ``dist``, which maps it to its step distance, and an entry of
+    ``layers[d]``, the list of states at distance d.  As a ``Permutation``
+    hashes and compares as its one-line tuple, ``dist`` answers plain tuples
+    too.  Layers are expanded on demand and kept, so later queries at the
+    same (n, width) reuse all earlier work; an empty last layer means the
+    search is exhausted.
     """
 
     def __init__(self, n: int, width: int):
         self.n = n
         self.width = width
-        start = tuple(range(1, n + 1))
-        self.dist: dict[tuple[int, ...], int] = {start: 0}
-        self.layers: list[list[Permutation]] = [[Permutation._unchecked(start)]]
+        start = Permutation._unchecked(tuple(range(1, n + 1)))
+        self.dist: dict[Permutation, int] = {start: 0}
+        self.layers: list[list[Permutation]] = [[start]]
 
     @property
     def depth(self) -> int:
@@ -127,9 +129,10 @@ class _LayeredSearch:
         for perm in self.layers[-1]:
             # Successors are position maps applied to a permutation, hence
             # permutations themselves; only unseen ones are built.
-            for succ in successor_values(perm.values, width).difference(dist):
-                dist[succ] = depth
-                layer.append(make(succ))
+            for succ in successor_values(perm, width).difference(dist):
+                state = make(succ)
+                dist[state] = depth
+                layer.append(state)
         self.layers.append(layer)
 
     def grow(self, depth: int | float, state: tuple[int, ...] | None = None) -> None:
@@ -179,7 +182,7 @@ def bfs_min_steps(perm: Permutation, width_limit: int | float) -> int:
     search.grow(math.inf, perm.values)
     if perm.values not in search.dist:
         raise InvalidWidthError(
-            f"state {perm.values} unreachable at width {search.width}; "
+            f"state {tuple(perm)} unreachable at width {search.width}; "
             "widths below 2 reach only the identity"
         )
     return search.dist[perm.values]

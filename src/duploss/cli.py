@@ -78,7 +78,7 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_class_enumerate(args) -> int:
     members = enumerate_class(ClassSpec(args.width, args.steps), args.size)
-    for p in sorted(members, key=lambda q: q.values):
+    for p in sorted(members):
         print(p)
     return 0
 

@@ -54,3 +54,12 @@ class NoWitnessError(DupLossError):
     Raised only if a guaranteed witness search comes up empty, which
     would indicate a bug rather than a legitimate input.
     """
+
+
+class VerificationError(DupLossError):
+    """A generated scenario failed its check before being reported: it
+    replays to a different permutation, or takes fewer steps than the
+    certified lower bound.
+
+    Raised only if a generator is wrong, never for a legitimate input.
+    """

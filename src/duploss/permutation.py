@@ -3,13 +3,17 @@ pattern-containment primitives the rest of the package is built on.
 
 Conventions used throughout the package:
 
-- A permutation of size n is a bijection on {1..n}, stored as the tuple
-  ``(sigma_1, ..., sigma_n)`` of its one-line notation.
+- A permutation of size n is a bijection on {1..n}.  A ``Permutation`` is
+  the tuple ``(sigma_1, ..., sigma_n)`` of its one-line notation: a
+  ``tuple`` subclass that validates its entries and adds nothing to hash,
+  compare or store.
 - Positions and values are both 1-indexed.  ``value_at(i)`` is sigma_i and
   ``position_of(v)`` is the i with sigma_i = v.
 - The text form is comma-separated one-line notation, e.g. ``"5,2,4,3,1,6"``.
 
 All operations are pure; ``Permutation`` objects are immutable and hashable.
+Functions that index entries in a loop first take ``tuple(perm)``: CPython
+specializes indexing for exact tuples only.
 """
 
 from __future__ import annotations
@@ -33,77 +37,66 @@ __all__ = [
 ]
 
 
-class Permutation:
-    """An immutable permutation of {1..n} in one-line notation.
+class Permutation(tuple):
+    """A permutation of {1..n}: the tuple of its one-line notation, checked
+    on construction.  It hashes and compares as that plain tuple, and tuple
+    operations (ordering, indexing, slicing to a plain tuple) apply.
 
     >>> Permutation([5, 2, 4, 3, 1, 6])
     Permutation([5, 2, 4, 3, 1, 6])
+    >>> Permutation((2, 1)) == (2, 1) and hash(Permutation((2, 1))) == hash((2, 1))
+    True
     >>> len(Permutation([2, 1, 3]))
     3
     >>> str(Permutation([5, 2, 4, 3, 1, 6]))
     '5,2,4,3,1,6'
     """
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
-    values: tuple[int, ...]
-
-    def __init__(self, values: Iterable[int]):
-        vals = tuple(values)
-        n = len(vals)
+    def __init__(self, values: Iterable[int], /):
+        # tuple.__new__ has already consumed ``values``; check what it built.
+        n = len(self)
         seen = [False] * n
-        for v in vals:
+        for v in self:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > n:
                 raise OutOfRangeError(f"value {v!r} is not an integer in 1..{n}")
             if seen[v - 1]:
                 raise DuplicateValueError(f"value {v} appears more than once")
             seen[v - 1] = True
-        object.__setattr__(self, "values", vals)
 
     @classmethod
     def _unchecked(cls, values: tuple[int, ...]) -> Permutation:
         """Wrap a tuple already known to be a permutation of 1..n, skipping
         validation.  Only for producers whose output is a permutation by
         construction, such as position maps applied to the identity."""
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "values", values)
-        return perm
+        return tuple.__new__(cls, values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
+    @property
+    def values(self) -> Permutation:
+        """The one-line tuple, which is the permutation itself."""
+        return self
 
     def __repr__(self) -> str:
-        return f"Permutation({list(self.values)})"
+        return f"Permutation({list(self)})"
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.values)
+        return ",".join(str(v) for v in self)
 
     def value_at(self, position: int) -> int:
         """sigma_i for a 1-indexed position i."""
-        if not 1 <= position <= len(self.values):
-            raise PositionOutOfRangeError(f"position {position} outside 1..{len(self.values)}")
-        return self.values[position - 1]
+        if not 1 <= position <= len(self):
+            raise PositionOutOfRangeError(f"position {position} outside 1..{len(self)}")
+        return self[position - 1]
 
     def position_of(self, value: int) -> int:
         """The 1-indexed position holding ``value``."""
-        if not 1 <= value <= len(self.values):
-            raise OutOfRangeError(f"value {value} outside 1..{len(self.values)}")
-        return self.values.index(value) + 1
+        if not 1 <= value <= len(self):
+            raise OutOfRangeError(f"value {value} outside 1..{len(self)}")
+        return self.index(value) + 1
 
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.values))
+        return all(v == i + 1 for i, v in enumerate(self))
 
 
 def parse_one_line(text: str) -> Permutation:
@@ -133,12 +126,12 @@ def descents(perm: Permutation) -> set[int]:
     >>> sorted(descents(Permutation([5, 2, 4, 3, 1, 6])))
     [1, 3, 4]
     """
-    v = perm.values
+    v = tuple(perm)
     return {i + 1 for i in range(len(v) - 1) if v[i] > v[i + 1]}
 
 
 def descent_count(perm: Permutation) -> int:
-    v = perm.values
+    v = tuple(perm)
     return sum(1 for i in range(len(v) - 1) if v[i] > v[i + 1])
 
 
@@ -167,7 +160,7 @@ def inversions(perm: Permutation) -> int:
     >>> inversions(Permutation([5, 2, 4, 3, 1, 6]))
     8
     """
-    return _count_inversions(perm.values)
+    return _count_inversions(perm)
 
 
 def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
@@ -178,7 +171,7 @@ def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
     >>> ascending_run_partition(Permutation([5, 2, 4, 3, 1, 6]))
     [(1, 1), (2, 3), (4, 4), (5, 6)]
     """
-    v = perm.values
+    v = tuple(perm)
     n = len(v)
     if n == 0:
         return []
@@ -204,7 +197,7 @@ def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([3, 2, 1]))
     False
     """
-    hv, patt = host.values, pattern.values
+    hv, patt = tuple(host), tuple(pattern)
     n, k = len(hv), len(patt)
     chosen: list[int] = []
 
@@ -231,12 +224,11 @@ def delete(perm: Permutation, position: int) -> Permutation:
     >>> delete(Permutation([4, 1, 2, 3, 5, 7, 6]), 5)
     Permutation([4, 1, 2, 3, 6, 5])
     """
-    v = perm.values
-    if not 1 <= position <= len(v):
-        raise PositionOutOfRangeError(f"position {position} outside 1..{len(v)}")
-    removed = v[position - 1]
+    if not 1 <= position <= len(perm):
+        raise PositionOutOfRangeError(f"position {position} outside 1..{len(perm)}")
+    removed = perm[position - 1]
     return Permutation(
-        (x - 1 if x > removed else x) for i, x in enumerate(v) if i != position - 1
+        (x - 1 if x > removed else x) for i, x in enumerate(perm) if i != position - 1
     )
 
 

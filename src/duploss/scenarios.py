@@ -21,14 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    InvalidParameterError,
-    InvalidWidthError,
-    NotSortedWindowError,
-    WidthExceededError,
-)
+from .errors import InvalidWidthError, NotSortedWindowError, WidthExceededError
 from .permutation import Permutation
-from .steps import DupLossStep, _check_window, apply_step_to_list, step_from_json, step_to_json
+from .steps import DupLossStep, _check_window, apply_step_to_list, step_to_json
 
 __all__ = [
     "Scenario",
@@ -38,7 +33,6 @@ __all__ = [
     "bucket_windows",
     "replay",
     "scenario_to_json",
-    "scenario_from_json",
 ]
 
 
@@ -207,15 +201,3 @@ def scenario_to_json(scenario: Scenario) -> dict:
         "final": str(replay(scenario)),
     }
 
-
-def scenario_from_json(obj: dict) -> Scenario:
-    limit = obj["width_limit"]
-    width_limit = math.inf if limit == "inf" else int(limit)
-    scenario = Scenario(
-        int(obj["n"]), width_limit, tuple(step_from_json(s) for s in obj["steps"])
-    )
-    if "final" in obj and str(replay(scenario)) != obj["final"]:
-        raise InvalidParameterError(
-            "scenario transcript does not replay to its recorded final state"
-        )
-    return scenario

@@ -27,7 +27,6 @@ __all__ = [
     "successors",
     "inversions_created",
     "step_to_json",
-    "step_from_json",
 ]
 
 
@@ -159,6 +158,3 @@ def inversions_created(perm: Permutation, step: DupLossStep) -> int:
 def step_to_json(step: DupLossStep) -> dict:
     return {"start": step.start, "width": step.width, "keep": sorted(step.keep)}
 
-
-def step_from_json(obj: dict) -> DupLossStep:
-    return DupLossStep(int(obj["start"]), int(obj["width"]), frozenset(int(o) for o in obj["keep"]))

@@ -266,3 +266,14 @@ def test_widths_at_or_above_size_share_one_search():
     bfs_min_steps(p, 5)
     bfs_min_steps(p, math.inf)
     assert list(classes._searches) == [(5, 5)]
+
+
+def test_each_state_is_one_permutation_object():
+    clear_search_cache()
+    search = classes._search(5, 3)
+    search.grow(math.inf)
+    entries = {id(p): p for layer in search.layers for p in layer}
+    assert len(search.dist) == len(entries) == math.factorial(5)
+    for state in search.dist:
+        assert type(state) is Permutation
+        assert entries.get(id(state)) is state

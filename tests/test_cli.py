@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from duploss import verify
+from duploss import Scenario, bench, verify
 from duploss.classes import minimal_forbidden_basis
 from duploss.cli import main
 
@@ -145,6 +145,15 @@ class TestErrors:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].startswith(f"duploss {argv[0]}")
+
+    @pytest.mark.parametrize("attr, fake", [
+        ("bucket_scenario", lambda perm, width: Scenario(len(perm), width, ())),
+        ("_lower_bound", lambda n, d, inv, width: n * n),
+    ], ids=["replays-elsewhere", "below-lower-bound"])
+    def test_failed_row_check(self, capsys, monkeypatch, attr, fake):
+        monkeypatch.setattr(bench, attr, fake)
+        argv = ["bench", "--policy", "8", "--sizes", "8", "--samples", "1"]
+        self.test_library_error_is_one_stderr_line(capsys, argv, "VerificationError")
 
     def test_non_integer_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DUPLOSS_ENUM_CAP", "abc")

@@ -33,6 +33,16 @@ class TestConstruction:
         assert len(p) == 6
         assert p.values == (5, 2, 4, 3, 1, 6)
 
+    def test_is_its_one_line_tuple(self):
+        p = Permutation((2, 1))
+        assert p == (2, 1) and hash(p) == hash((2, 1))
+        assert p.values is p
+
+    @pytest.mark.parametrize("name", ["values", "extra"])
+    def test_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(Permutation((2, 1)), name, (1, 2))
+
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateValueError):
             Permutation([1, 1, 2])

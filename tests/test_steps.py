@@ -14,8 +14,6 @@ from duploss import (
     inversions,
     inversions_created,
     random_permutation,
-    step_from_json,
-    step_to_json,
     successors,
 )
 from duploss.steps import successor_values
@@ -172,11 +170,3 @@ class TestInversionsCreated:
         step = DupLossStep(1, 2, frozenset({2}))
         assert inversions_created(p, step) == -1
         assert inversions(apply_step(p, step)) == 0
-
-
-class TestJson:
-    def test_round_trip(self):
-        step = DupLossStep(3, 4, frozenset({2, 3}))
-        obj = step_to_json(step)
-        assert obj == {"start": 3, "width": 4, "keep": [2, 3]}
-        assert step_from_json(obj) == step
