@@ -15,9 +15,9 @@ search at width n.
 Each state's successors come from the step effects compiled once per (size,
 width) in ``steps``; the memo keeps one ``Permutation`` per state, built
 when the state is found, as both its distance key and its entry in its BFS
-layer, so a class at budget p is the union of the first p + 1 layers.  The cap (default 10)
-refuses sizes beyond desk scale, S_11 and up; the DUPLOSS_ENUM_CAP
-environment variable, an integer, is the one override.
+layer, so a class at budget p is the union of the first p + 1 layers.  The
+cap (default 10) refuses sizes beyond desk scale, S_11 and up; the
+DUPLOSS_ENUM_CAP environment variable, an integer, is the one override.
 """
 
 from __future__ import annotations

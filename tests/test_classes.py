@@ -223,7 +223,7 @@ class TestMinSteps:
 
     def test_width_one_reaches_only_identity(self):
         assert bfs_min_steps(identity(4), 1) == 0
-        with pytest.raises(InvalidWidthError):
+        with pytest.raises(InvalidWidthError, match=r"^state \(3, 1, 4, 2\) unreachable at width 1;"):
             bfs_min_steps(P(3, 1, 4, 2), 1)
 
 
