@@ -53,6 +53,22 @@ class Scenario:
         return len(self.steps)
 
 
+def _move_right(work: list[int], lo: int, hi: int, moved: frozenset[int]) -> DupLossStep:
+    """The step on window [lo, hi] that keeps the entries not in ``moved`` in
+    the first copy and the others in the second.  The window of ``work`` is
+    rewritten in the same pass that finds the keep mask."""
+    kept, rest, mask, bit = [], [], 0, 1
+    for v in work[lo - 1 : hi]:
+        if v in moved:
+            rest.append(v)
+        else:
+            kept.append(v)
+            mask |= bit
+        bit <<= 1
+    work[lo - 1 : hi] = kept + rest
+    return DupLossStep(lo, hi - lo + 1, mask)
+
+
 def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[DupLossStep]:
     """Rearrange the increasing arrangement of ``target``'s values, sitting in
     ``work`` at positions start.., into ``target``; mutates ``work`` and returns
@@ -68,12 +84,10 @@ def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[Dup
         prev = v
     steps = []
     for bit in range(run.bit_length()):
-        window = work[start - 1 : start - 1 + k]
-        # a value foreign to ``target`` is kept first; the end-state check rejects it
-        keep = frozenset(o for o, v in enumerate(window, 1) if not label.get(v, 0) >> bit & 1)
-        step = DupLossStep(start, k, keep)
-        apply_step_to_list(work, step)
-        steps.append(step)
+        # a value foreign to ``target`` is not in ``ones``, so it is kept first;
+        # the end-state check rejects it
+        ones = frozenset(v for v in target if label[v] >> bit & 1)
+        steps.append(_move_right(work, start, start + k - 1, ones))
     if work[start - 1 : start - 1 + k] != list(target):
         raise NotSortedWindowError(
             f"window [{start}, {start + k - 1}] did not hold {sorted(target)} in increasing order"
@@ -134,13 +148,11 @@ def _convoy_steps(
             lo, hi = max(1, target_end - width_limit + 1), target_end
         else:
             lo, hi = s, s + width_limit - 1
-        keep = frozenset(o for o, v in enumerate(work[lo - 1 : hi], 1) if v not in members)
-        step = DupLossStep(lo, hi - lo + 1, keep)
-        apply_step_to_list(work, step)
+        step = _move_right(work, lo, hi, members)
         steps.append(step)
         if hi == target_end:
             break
-        s = lo + len(keep)  # the members now fill the window's right end
+        s = lo + step.mask.bit_count()  # the members now fill the window's right end
     return steps
 
 

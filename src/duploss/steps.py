@@ -7,16 +7,25 @@ their original order) followed by the remaining offsets (in their original
 order); everything outside the window is untouched.  Width-1 steps and keep
 sets that are a prefix {1..j} of the window are legal no-ops.
 
-``apply_step_to_list`` is the only definition of that effect: every generator
-and replay apply steps through it, and each compiled successor effect is the
-position map it makes of ``list(range(n))``.
+A step holds its keep set as an int bitmask, ``mask``: bit o-1 is set when
+offset o is kept.  ``DupLossStep`` accepts either that mask or a set of
+offsets, and ``keep`` reads the offsets back as a frozenset.
+
+``apply_step_to_list`` is the only definition of that effect: it reorders
+the window by an ``operator.itemgetter`` made once per ``(width, mask)`` and
+kept in a bounded cache.  ``apply_step`` and replay apply steps through it,
+and each compiled successor effect is the position map it makes of
+``list(range(n))``.  The scenario generators write each window in the same
+pass that finds its mask, and replay checks that their steps build the
+target.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError, WindowOutOfRangeError
 from .permutation import Permutation, _count_inversions
@@ -30,28 +39,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class DupLossStep:
     """A duplication-loss event: window ``[start, start+width-1]`` plus the
-    set of relative offsets (1..width) retained in the first copy."""
+    relative offsets (1..width) retained in the first copy, given either as
+    a set of offsets or as a bitmask (bit o-1 set when offset o is kept)."""
 
     start: int
     width: int
-    keep: frozenset[int] = field(default_factory=frozenset)
+    mask: int
 
-    def __post_init__(self):
-        if self.start < 1:
-            raise InvalidParameterError(f"start must be >= 1, got {self.start}")
-        if self.width < 1:
-            raise InvalidParameterError(f"width must be >= 1, got {self.width}")
-        keep = frozenset(self.keep)
-        object.__setattr__(self, "keep", keep)
-        if not keep <= set(range(1, self.width + 1)):
-            raise InvalidParameterError(f"keep offsets {sorted(keep)} outside 1..{self.width}")
+    def __init__(self, start: int, width: int, keep: int | Iterable[int] = 0):
+        if start < 1:
+            raise InvalidParameterError(f"start must be >= 1, got {start}")
+        if width < 1:
+            raise InvalidParameterError(f"width must be >= 1, got {width}")
+        if isinstance(keep, int):
+            if not 0 <= keep < 1 << width:
+                raise InvalidParameterError(f"keep mask {keep} outside 0..{(1 << width) - 1}")
+            mask = keep
+        else:
+            offsets = frozenset(keep)
+            if not offsets <= set(range(1, width + 1)):
+                raise InvalidParameterError(f"keep offsets {sorted(offsets)} outside 1..{width}")
+            mask = sum(1 << (o - 1) for o in range(1, width + 1) if o in offsets)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def keep(self) -> frozenset[int]:
+        return frozenset(_kept_offsets(self.width, self.mask))
 
     @property
     def end(self) -> int:
         return self.start + self.width - 1
+
+    def __repr__(self) -> str:
+        return f"DupLossStep(start={self.start}, width={self.width}, keep={self.keep!r})"
+
+
+@functools.lru_cache(maxsize=1024)
+def _kept_offsets(width: int, mask: int) -> tuple[int, ...]:
+    """The offsets a keep mask keeps, in increasing order."""
+    return tuple(o + 1 for o in range(width) if mask >> o & 1)
 
 
 def _check_window(step: DupLossStep, n: int) -> None:
@@ -61,16 +92,28 @@ def _check_window(step: DupLossStep, n: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1024)
+def _window_order(width: int, mask: int) -> operator.itemgetter:
+    """The window reordering of a step: kept offsets, then the others.
+
+    Bounded, like ``_kept_offsets``: at K = n / log n wide masks almost never
+    repeat, and an unbounded cache would hold one entry per step generated.
+    """
+    kept = [o for o in range(width) if mask >> o & 1]
+    return operator.itemgetter(*kept, *(o for o in range(width) if not mask >> o & 1))
+
+
 def apply_step_to_list(values: list[int], step: DupLossStep) -> None:
     """In-place core of apply_step; callers guarantee the window fits.
 
     The window becomes its entries at kept offsets, then the others, each
-    group in its original order.
+    group in its original order.  Width 1 is a no-op (and an itemgetter of
+    one index would return a bare value).
     """
-    lo, keep = step.start - 1, step.keep
-    window = values[lo : lo + step.width]
-    kept = [v for o, v in enumerate(window, 1) if o in keep]
-    values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
+    width = step.width
+    if width > 1:
+        lo = step.start - 1
+        values[lo : lo + width] = _window_order(width, step.mask)(values[lo : lo + width])
 
 
 def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
@@ -105,9 +148,8 @@ def _effects(n: int, width: int) -> tuple[operator.itemgetter, ...]:
     for lo in range(n):
         for w in range(2, min(width, n - lo) + 1):
             for mask in range(1 << w):
-                keep = frozenset(o + 1 for o in range(w) if mask >> o & 1)
                 positions = list(range(n))
-                apply_step_to_list(positions, DupLossStep(lo + 1, w, keep))
+                apply_step_to_list(positions, DupLossStep(lo + 1, w, mask))
                 maps.setdefault(tuple(positions), None)
     maps.pop(tuple(range(n)), None)
     return tuple(operator.itemgetter(*m) for m in maps)
@@ -151,10 +193,11 @@ def inversions_created(perm: Permutation, step: DupLossStep) -> int:
     rank = {v: r for r, v in enumerate(sorted(window), 1)}
     ranks = [rank[v] for v in window]
     before = _count_inversions(ranks)
-    apply_step_to_list(ranks, DupLossStep(1, step.width, step.keep))
+    apply_step_to_list(ranks, DupLossStep(1, step.width, step.mask))
     return _count_inversions(ranks) - before
 
 
 def step_to_json(step: DupLossStep) -> dict:
-    return {"start": step.start, "width": step.width, "keep": sorted(step.keep)}
+    keep = list(_kept_offsets(step.width, step.mask))
+    return {"start": step.start, "width": step.width, "keep": keep}
 

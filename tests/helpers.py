@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from duploss import Permutation
+from duploss import DupLossStep, Permutation
 
 
 def rank_pattern(vals):
@@ -39,6 +39,33 @@ def brute_step_results(vals, start0, width):
             lostv = [window[i] for i in range(width) if i not in kept]
             results.add(vals[:start0] + tuple(keptv + lostv) + vals[start0 + width :])
     return results
+
+
+def apply_keep_set(values, step):
+    """A step's effect read from its keep set, ``step.keep``: the window
+    becomes its entries at kept offsets, then the others, each group in its
+    original order.  The slow-path oracle of the mask kernel
+    ``apply_step_to_list``."""
+    lo, keep = step.start - 1, step.keep
+    window = values[lo : lo + step.width]
+    kept = [v for o, v in enumerate(window, 1) if o in keep]
+    values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
+
+
+def keep_set_effect_maps(n, width):
+    """The position maps of ``steps._effects(n, width)``, in its order, built
+    from offset sets through ``apply_keep_set``: every window of width 2..width,
+    masks in increasing order, first appearances kept, identity dropped."""
+    maps = {}
+    for lo in range(n):
+        for w in range(2, min(width, n - lo) + 1):
+            for mask in range(1 << w):
+                keep = frozenset(o + 1 for o in range(w) if mask >> o & 1)
+                positions = list(range(n))
+                apply_keep_set(positions, DupLossStep(lo + 1, w, keep))
+                maps.setdefault(tuple(positions), None)
+    maps.pop(tuple(range(n)), None)
+    return list(maps)
 
 
 def brute_successors(vals, width_limit):

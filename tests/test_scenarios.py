@@ -30,6 +30,7 @@ from duploss import (
 from duploss import scenarios
 from duploss.scenarios import _convoy_steps, _radix_steps
 from duploss.steps import apply_step_to_list
+from helpers import apply_keep_set
 
 
 def steps_formula(p: Permutation) -> int:
@@ -63,6 +64,18 @@ class TestRadix:
                 sc = radix_scenario(p)
                 assert sc.step_count == steps_formula(p)
                 assert replay(sc) == p
+
+    def test_window_writes_match_the_keep_sets(self):
+        # the generator writes each window in the pass that finds its mask;
+        # replaying its steps through the keep-set oracle must agree
+        for n in range(0, 7):
+            for vals in itertools.permutations(range(1, n + 1)):
+                work = [0, *range(1, n + 1), n + 1]
+                steps = _radix_steps(work, 2, vals)
+                replayed = [0, *range(1, n + 1), n + 1]
+                for step in steps:
+                    apply_keep_set(replayed, step)
+                assert work == replayed == [0, *vals, n + 1]
 
     @pytest.mark.parametrize("work, target", [([2, 1], (1, 2)), ([1, 2, 3, 4], (5, 4))])
     def test_end_state_check(self, work, target):
@@ -200,12 +213,15 @@ class TestBucket:
 class TestPhase1MoveBlock:
     @staticmethod
     def convoy(vals, members, target_start, target_end, limit):
-        """The convoy steps, and ``vals`` after replaying them."""
+        """The convoy steps, and ``vals`` after replaying them through the
+        keep-set oracle, which must match the convoy's own window writes."""
         members = frozenset(members)
-        steps = _convoy_steps(list(vals), members, target_start, target_end, limit)
+        moved = list(vals)
+        steps = _convoy_steps(moved, members, target_start, target_end, limit)
         work = list(vals)
         for s in steps:
-            apply_step_to_list(work, s)
+            apply_keep_set(work, s)
+        assert moved == work
         return steps, work
 
     def test_members_already_in_place(self):

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 
 from duploss import (
     DupLossStep,
+    InvalidParameterError,
     Permutation,
     WindowOutOfRangeError,
     apply_step,
@@ -16,8 +18,91 @@ from duploss import (
     random_permutation,
     successors,
 )
-from duploss.steps import successor_values
-from helpers import brute_successors, inversion_count, permutations_st
+from duploss.steps import _effects, apply_step_to_list, step_to_json, successor_values
+from helpers import (
+    apply_keep_set,
+    brute_successors,
+    inversion_count,
+    keep_set_effect_maps,
+    permutations_st,
+)
+
+
+def all_steps(n, max_width):
+    """Every step of width 1..max_width that fits size n, with every mask."""
+    for width in range(1, min(max_width, n) + 1):
+        for start in range(1, n - width + 2):
+            for mask in range(1 << width):
+                yield DupLossStep(start, width, mask)
+
+
+class TestStepConstruction:
+    def test_offsets_and_mask_build_equal_steps(self):
+        for width in range(1, 7):
+            for mask in range(1 << width):
+                keep = frozenset(o + 1 for o in range(width) if mask >> o & 1)
+                by_offsets, by_mask = DupLossStep(2, width, keep), DupLossStep(2, width, mask)
+                assert by_offsets == by_mask
+                assert hash(by_offsets) == hash(by_mask)
+                assert by_offsets.mask == mask
+                assert by_mask.keep == keep
+                assert DupLossStep(2, width, by_mask.keep) == by_mask
+                assert step_to_json(by_mask)["keep"] == sorted(keep)
+
+    def test_offsets_may_be_any_iterable(self):
+        assert DupLossStep(3, 4, [3, 2]) == DupLossStep(3, 4, {2, 3}) == DupLossStep(3, 4, 0b0110)
+        assert DupLossStep(3, 4).keep == frozenset()
+
+    def test_is_immutable(self):
+        step = DupLossStep(3, 4, 0b0110)
+        with pytest.raises(AttributeError):
+            step.mask = 1
+
+    def test_repr_shows_offsets(self):
+        assert repr(DupLossStep(3, 4, 0b0110)) == (
+            "DupLossStep(start=3, width=4, keep=frozenset({2, 3}))"
+        )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 2, frozenset()), "start must be >= 1, got 0"),
+            ((0, 2, 0), "start must be >= 1, got 0"),
+            ((1, 0, frozenset()), "width must be >= 1, got 0"),
+            ((1, 0, 0), "width must be >= 1, got 0"),
+            ((1, 2, frozenset({3})), "keep offsets [3] outside 1..2"),
+            ((1, 2, frozenset({0, 1})), "keep offsets [0, 1] outside 1..2"),
+            ((1, 2, -1), "keep mask -1 outside 0..3"),
+            ((1, 2, 0b100), "keep mask 4 outside 0..3"),
+            ((2, 3, 1 << 3), "keep mask 8 outside 0..7"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            DupLossStep(*args)
+
+
+class TestMaskKernel:
+    """``apply_step_to_list`` against the keep-set oracle ``apply_keep_set``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_step_on_seeded_size_ten_hosts(self, seed):
+        host = random_permutation(10, seed)
+        before = inversion_count(host.values)
+        for step in all_steps(10, 8):
+            got, want = list(host.values), list(host.values)
+            apply_step_to_list(got, step)
+            apply_keep_set(want, step)
+            assert got == want, step
+            assert apply_step(host, step).values == tuple(want)
+            assert inversions_created(host, step) == inversion_count(want) - before, step
+
+    def test_effects_keep_their_maps_and_order(self):
+        for n in range(0, 9):
+            for width in range(1, n + 2):
+                identity_map = tuple(range(n))
+                got = [effect(identity_map) for effect in _effects(n, width)]
+                assert got == keep_set_effect_maps(n, width), (n, width)
 
 
 class TestApplyStep:
