@@ -17,9 +17,10 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, InvalidWidthError, VerificationError
+from .errors import InvalidParameterError, VerificationError
 from .permutation import Permutation, descent_count, inversions, reversed_identity
 from .scenarios import bucket_scenario, replay
+from .steps import _check_width
 
 __all__ = [
     "WidthPolicy",
@@ -100,8 +101,7 @@ def _lower_bound(n: int, d: int, inv: int, width_limit: int) -> int:
     and inv inversions.  K may be ``math.inf``; it is taken as at most n,
     since no window is wider than the permutation.  Sizes 0 and 1 need no
     step."""
-    if width_limit < 2:
-        raise InvalidWidthError(f"width limit must be >= 2, got {width_limit}")
+    _check_width(width_limit)
     if n <= 1:
         return 0
     k = min(width_limit, n)

@@ -34,7 +34,7 @@ from .errors import (
     InvalidWidthError,
 )
 from .permutation import Permutation, all_permutations, contains_pattern, delete
-from .steps import successor_values
+from .steps import _check_width, successor_values
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -62,10 +62,10 @@ class ClassSpec:
     budget: int
 
     def __post_init__(self):
-        if self.width_limit < 2:
-            raise InvalidWidthError(f"width limit must be >= 2, got {self.width_limit}")
-        if self.budget < 0:
-            raise InvalidParameterError(f"step budget must be >= 0, got {self.budget}")
+        _check_width(self.width_limit)
+        budget = self.budget
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+            raise InvalidParameterError(f"step budget must be an integer >= 0, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,9 @@ _searches: dict[tuple[int, int], _LayeredSearch] = {}
 
 def _search(n: int, width_limit: int | float) -> _LayeredSearch:
     """The one memoized search of size n under width limit K (infinity acts
-    as n, and widths below 1 as 1); refuses negative sizes and sizes beyond
-    the cap."""
+    as n); refuses negative sizes and sizes beyond the cap."""
     _check_size(n)
-    key = (n, max(int(min(width_limit, n)), 1))
+    key = (n, min(width_limit, n))
     if key not in _searches:
         _searches[key] = _LayeredSearch(*key)
     return _searches[key]
@@ -176,8 +175,7 @@ def is_member(perm: Permutation, spec: ClassSpec) -> bool:
 
 def bfs_min_steps(perm: Permutation, width_limit: int | float) -> int:
     """Minimal number of width-bounded steps building ``perm`` from identity."""
-    if width_limit < 1:
-        raise InvalidWidthError(f"width limit must be >= 1, got {width_limit}")
+    _check_width(width_limit, least=1)
     search = _search(len(perm), width_limit)
     search.grow(math.inf, perm.values)
     if perm.values not in search.dist:
@@ -195,11 +193,10 @@ def one_step_blockers(width_limit: int) -> frozenset[Permutation]:
     There are exactly 2^(K-1) of them: the first increasing run is
     {K+1} union S for any S subset of {2..K}.
     """
-    if isinstance(width_limit, float) and math.isinf(width_limit):
+    if width_limit == math.inf:
         raise InfiniteWidthError("blocker set is defined for finite width limits only")
-    k = int(width_limit)
-    if k < 2:
-        raise InvalidWidthError(f"width limit must be >= 2, got {k}")
+    _check_width(width_limit)
+    k = width_limit
     out = []
     rest = range(2, k + 1)
     for r in range(k):
@@ -263,10 +260,9 @@ def basis_to_json(
     budget: int,
     max_size: int | None,
 ) -> dict:
-    limit = "inf" if math.isinf(width_limit) else int(width_limit)
     return {
         "patterns": [str(p) for p in basis.sorted_patterns()],
-        "K": limit,
+        "K": "inf" if width_limit == math.inf else width_limit,
         "p": budget,
         "max_size": max_size,
         "antichain": basis.antichain,

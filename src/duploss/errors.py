@@ -37,7 +37,8 @@ class NotSortedWindowError(DupLossError):
 
 
 class InvalidWidthError(DupLossError):
-    """A width limit below the model's minimum of 2."""
+    """A width limit that is neither an integer of at least the model's
+    minimum (2, or 1 where width 1 is allowed) nor infinity."""
 
 
 class InfiniteWidthError(DupLossError):

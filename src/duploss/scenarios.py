@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidWidthError, NotSortedWindowError, WidthExceededError
+from .errors import NotSortedWindowError, WidthExceededError
 from .permutation import Permutation
-from .steps import DupLossStep, _check_window, apply_step_to_list, step_to_json
+from .steps import DupLossStep, _check_width, _check_window, apply_step_to_list, step_to_json
 
 __all__ = [
     "Scenario",
@@ -47,6 +47,9 @@ class Scenario:
     n: int
     width_limit: int | float
     steps: tuple[DupLossStep, ...]
+
+    def __post_init__(self):
+        _check_width(self.width_limit, least=1)
 
     @property
     def step_count(self) -> int:
@@ -107,15 +110,13 @@ def bucket_windows(n: int, width_limit: int | float) -> list[tuple[int, int]]:
     """The block decomposition of positions 1..n used by the bucket generator,
     left to right: a remainder block of width <= K, then floor(K/2)-wide blocks
     anchored at the right end."""
-    if width_limit < 2:
-        raise InvalidWidthError(f"width limit must be >= 2, got {width_limit}")
+    _check_width(width_limit)
     if n <= 0:
         return []
     if n <= width_limit:
         return [(1, n)]
-    k = int(width_limit)
-    half = k // 2
-    blocks = math.ceil((n - k) / half)
+    half = width_limit // 2
+    blocks = math.ceil((n - width_limit) / half)
     windows = [(1, n - blocks * half)]
     for i in range(blocks, 0, -1):
         windows.append((n - i * half + 1, n - (i - 1) * half))
@@ -173,7 +174,7 @@ def bucket_phases(
     # windows[0] is the leftmost remainder block; convoy the others right to left.
     for t1, t2 in reversed(windows[1:]):
         members = frozenset(sigma[t1 - 1 : t2])
-        phase1.extend(_convoy_steps(work, members, t1, t2, int(width_limit)))
+        phase1.extend(_convoy_steps(work, members, t1, t2, width_limit))
     phase2: list[DupLossStep] = []
     for t1, t2 in list(reversed(windows[1:])) + windows[:1]:
         phase2.extend(_radix_steps(work, t1, sigma[t1 - 1 : t2]))
@@ -205,10 +206,9 @@ def replay(scenario: Scenario) -> Permutation:
 
 def scenario_to_json(scenario: Scenario) -> dict:
     """JSON form: width limit "inf" when unbounded, plus the replayed result."""
-    limit = "inf" if math.isinf(scenario.width_limit) else int(scenario.width_limit)
     return {
         "n": scenario.n,
-        "width_limit": limit,
+        "width_limit": "inf" if scenario.width_limit == math.inf else scenario.width_limit,
         "steps": [step_to_json(s) for s in scenario.steps],
         "final": str(replay(scenario)),
     }

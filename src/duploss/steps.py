@@ -11,23 +11,30 @@ A step holds its keep set as an int bitmask, ``mask``: bit o-1 is set when
 offset o is kept.  ``DupLossStep`` accepts either that mask or a set of
 offsets, and ``keep`` reads the offsets back as a frozenset.
 
-``apply_step_to_list`` is the only definition of that effect: it reorders
-the window by an ``operator.itemgetter`` made once per ``(width, mask)`` and
-kept in a bounded cache.  ``apply_step`` and replay apply steps through it,
-and each compiled successor effect is the position map it makes of
-``list(range(n))``.  The scenario generators write each window in the same
-pass that finds its mask, and replay checks that their steps build the
-target.
+Two functions write that effect.  ``apply_step_to_list`` applies a given
+step: it reorders the window by an ``operator.itemgetter`` made once per
+``(width, mask)`` and kept in a bounded cache.  ``apply_step`` and replay
+apply steps through it, and each compiled successor effect is the position
+map it makes of ``list(range(n))``.  ``scenarios._move_right`` writes each
+generated window itself, in the same pass that finds its mask, and replay
+checks that the generated steps build the target.  The tests pin both to the
+keep-set oracle ``tests/helpers.apply_keep_set``.
+
+``_check_width`` is the one rule for a width limit K, and every entry point
+that takes K calls it: K is an ``int`` (not a ``bool``) of at least 2, or at
+least 1 for ``successors``, ``classes.bfs_min_steps`` and
+``scenarios.Scenario``, or ``math.inf``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, WindowOutOfRangeError
+from .errors import InvalidParameterError, InvalidWidthError, WindowOutOfRangeError
 from .permutation import Permutation, _count_inversions
 
 __all__ = [
@@ -83,6 +90,17 @@ class DupLossStep:
 def _kept_offsets(width: int, mask: int) -> tuple[int, ...]:
     """The offsets a keep mask keeps, in increasing order."""
     return tuple(o + 1 for o in range(width) if mask >> o & 1)
+
+
+def _check_width(width_limit: int | float, least: int = 2) -> None:
+    """The one rule for a width limit K: an int (not a bool) of at least
+    ``least``, or ``math.inf``."""
+    if width_limit == math.inf:
+        return
+    if not isinstance(width_limit, int) or isinstance(width_limit, bool) or width_limit < least:
+        raise InvalidWidthError(
+            f"width limit must be an integer >= {least} or inf, got {width_limit!r}"
+        )
 
 
 def _check_window(step: DupLossStep, n: int) -> None:
@@ -171,8 +189,7 @@ def successors(perm: Permutation, width_limit: int) -> set[Permutation]:
     >>> sorted(str(p) for p in successors(identity(2), 2))
     ['1,2', '2,1']
     """
-    if width_limit < 1:
-        raise InvalidParameterError(f"width limit must be >= 1, got {width_limit}")
+    _check_width(width_limit, least=1)
     return {Permutation(v) for v in successor_values(perm.values, width_limit)}
 
 
