@@ -62,7 +62,7 @@ class WidthPolicy:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.constant is None or self.constant < 2:
+            if type(self.constant) is not int or self.constant < 2:
                 raise InvalidParameterError("constant policy needs a constant >= 2")
         elif self.kind not in _SCALED_WIDTHS:
             raise InvalidParameterError(f"unknown width policy kind {self.kind!r}")
@@ -173,10 +173,10 @@ def run_benchmark(
     """Bucket-scenario rows for each size: the reversed identity first, then
     ``samples`` seeded uniform permutations.  Every row is replay-verified and
     lower-bound-checked."""
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
-    if any(n < 0 for n in sizes):
-        raise InvalidParameterError(f"sizes must be >= 0, got {sizes}")
+    if type(samples) is not int or samples < 1:
+        raise InvalidParameterError(f"samples must be an integer >= 1, got {samples!r}")
+    if any(type(n) is not int or n < 0 for n in sizes):
+        raise InvalidParameterError(f"sizes must be integers >= 0, got {sizes!r}")
     rows = []
     for n in sizes:
         width = policy.width_for(n)

@@ -64,7 +64,7 @@ class ClassSpec:
     def __post_init__(self):
         _check_width(self.width_limit)
         budget = self.budget
-        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        if type(budget) is not int or budget < 0:
             raise InvalidParameterError(f"step budget must be an integer >= 0, got {budget!r}")
 
 
@@ -82,8 +82,8 @@ class PatternBasis:
 
 
 def _check_size(n: int) -> None:
-    if n < 0:
-        raise InvalidParameterError(f"size must be >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
     env = os.environ.get("DUPLOSS_ENUM_CAP")
     try:
         limit = int(env) if env else DEFAULT_ENUMERATION_CAP

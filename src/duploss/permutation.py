@@ -59,7 +59,7 @@ class Permutation(tuple):
         n = len(self)
         seen = [False] * n
         for v in self:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > n:
+            if type(v) is not int or not 1 <= v <= n:
                 raise OutOfRangeError(f"value {v!r} is not an integer in 1..{n}")
             if seen[v - 1]:
                 raise DuplicateValueError(f"value {v} appears more than once")
@@ -85,14 +85,16 @@ class Permutation(tuple):
 
     def value_at(self, position: int) -> int:
         """sigma_i for a 1-indexed position i."""
-        if not 1 <= position <= len(self):
-            raise PositionOutOfRangeError(f"position {position} outside 1..{len(self)}")
+        if type(position) is not int or not 1 <= position <= len(self):
+            raise PositionOutOfRangeError(
+                f"position {position!r} is not an integer in 1..{len(self)}"
+            )
         return self[position - 1]
 
     def position_of(self, value: int) -> int:
         """The 1-indexed position holding ``value``."""
-        if not 1 <= value <= len(self):
-            raise OutOfRangeError(f"value {value} outside 1..{len(self)}")
+        if type(value) is not int or not 1 <= value <= len(self):
+            raise OutOfRangeError(f"value {value!r} is not an integer in 1..{len(self)}")
         return self.index(value) + 1
 
     def is_identity(self) -> bool:
@@ -131,8 +133,7 @@ def descents(perm: Permutation) -> set[int]:
 
 
 def descent_count(perm: Permutation) -> int:
-    v = tuple(perm)
-    return sum(1 for i in range(len(v) - 1) if v[i] > v[i + 1])
+    return len(descents(perm))
 
 
 def _count_inversions(values: Sequence[int]) -> int:
@@ -171,18 +172,11 @@ def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
     >>> ascending_run_partition(Permutation([5, 2, 4, 3, 1, 6]))
     [(1, 1), (2, 3), (4, 4), (5, 6)]
     """
-    v = tuple(perm)
-    n = len(v)
+    n = len(perm)
     if n == 0:
         return []
-    runs = []
-    start = 1
-    for i in range(1, n):
-        if v[i] < v[i - 1]:
-            runs.append((start, i))
-            start = i + 1
-    runs.append((start, n))
-    return runs
+    cuts = [0, *sorted(descents(perm)), n]
+    return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
@@ -224,9 +218,7 @@ def delete(perm: Permutation, position: int) -> Permutation:
     >>> delete(Permutation([4, 1, 2, 3, 5, 7, 6]), 5)
     Permutation([4, 1, 2, 3, 6, 5])
     """
-    if not 1 <= position <= len(perm):
-        raise PositionOutOfRangeError(f"position {position} outside 1..{len(perm)}")
-    removed = perm[position - 1]
+    removed = perm.value_at(position)
     return Permutation(
         (x - 1 if x > removed else x) for i, x in enumerate(perm) if i != position - 1
     )

@@ -21,9 +21,9 @@ checks that the generated steps build the target.  The tests pin both to the
 keep-set oracle ``tests/helpers.apply_keep_set``.
 
 ``_check_width`` is the one rule for a width limit K, and every entry point
-that takes K calls it: K is an ``int`` (not a ``bool``) of at least 2, or at
-least 1 for ``successors``, ``classes.bfs_min_steps`` and
-``scenarios.Scenario``, or ``math.inf``.
+that takes K calls it: K is an exact ``int`` of at least 2, or at least 1
+for ``successors``, ``classes.bfs_min_steps`` and ``scenarios.Scenario``, or
+``math.inf``.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ class DupLossStep:
     mask: int
 
     def __init__(self, start: int, width: int, keep: int | Iterable[int] = 0):
-        if start < 1:
-            raise InvalidParameterError(f"start must be >= 1, got {start}")
-        if width < 1:
-            raise InvalidParameterError(f"width must be >= 1, got {width}")
+        if type(start) is not int or start < 1:
+            raise InvalidParameterError(f"start must be an integer >= 1, got {start!r}")
+        if type(width) is not int or width < 1:
+            raise InvalidParameterError(f"width must be an integer >= 1, got {width!r}")
         if isinstance(keep, int):
-            if not 0 <= keep < 1 << width:
-                raise InvalidParameterError(f"keep mask {keep} outside 0..{(1 << width) - 1}")
+            if type(keep) is not int or not 0 <= keep < 1 << width:
+                raise InvalidParameterError(f"keep mask {keep!r} outside 0..{(1 << width) - 1}")
             mask = keep
         else:
             offsets = frozenset(keep)
@@ -93,11 +93,11 @@ def _kept_offsets(width: int, mask: int) -> tuple[int, ...]:
 
 
 def _check_width(width_limit: int | float, least: int = 2) -> None:
-    """The one rule for a width limit K: an int (not a bool) of at least
-    ``least``, or ``math.inf``."""
+    """The one rule for a width limit K: an exact ``int`` (no ``bool`` or
+    other subclass) of at least ``least``, or ``math.inf``."""
     if width_limit == math.inf:
         return
-    if not isinstance(width_limit, int) or isinstance(width_limit, bool) or width_limit < least:
+    if type(width_limit) is not int or width_limit < least:
         raise InvalidWidthError(
             f"width limit must be an integer >= {least} or inf, got {width_limit!r}"
         )

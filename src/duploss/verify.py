@@ -34,6 +34,11 @@ from .vp import fixpoints, removal_span_stability, safe_removal_position, vp_dom
 
 CheckResult = tuple[str, bool, str]
 
+# (width limit, step budget) of the classes ``lemmas`` and ``closure`` check,
+# and the width limits of the one-step bases ``basis`` checks
+_CLASS_PARAMS = ((2, 1), (3, 1), (2, 2))
+_BASIS_WIDTHS = (2, 3, 4)
+
 
 def _every(name: str, pairs: Iterable[tuple[object, bool]]) -> CheckResult:
     failures = [str(obj) for obj, ok in pairs if not ok]
@@ -80,7 +85,7 @@ def suite_lemmas(max_n: int = 6) -> list[CheckResult]:
         _every("every covered element lies in two spans", ((p, balanced(p)) for p in perms))
     )
 
-    for width, budget in ((2, 1), (3, 1), (2, 2)):
+    for width, budget in _CLASS_PARAMS:
         spec = ClassSpec(width, budget)
         members = [
             p for n in range(1, max_n + 1) for p in enumerate_class(spec, n)
@@ -108,7 +113,7 @@ def suite_lemmas(max_n: int = 6) -> list[CheckResult]:
 def suite_closure(max_n: int = 6) -> list[CheckResult]:
     """Classes are closed under one-element deletion."""
     results = []
-    for width, budget in ((2, 1), (3, 1), (2, 2)):
+    for width, budget in _CLASS_PARAMS:
         spec = ClassSpec(width, budget)
         bad = []
         smaller = enumerate_class(spec, 1)
@@ -122,9 +127,6 @@ def suite_closure(max_n: int = 6) -> list[CheckResult]:
             _every(f"deletion closure of (K={width}, p={budget})", ((p, False) for p in bad))
         )
     return results
-
-
-_BASIS_WIDTHS = (2, 3, 4)
 
 
 def suite_basis(max_n: int = 7) -> list[CheckResult]:
@@ -208,6 +210,6 @@ def run_suite(name: str, max_size: int | None = None) -> list[CheckResult]:
     """Run the named suite, at its own default size unless ``max_size`` is given."""
     if name not in SUITES:
         raise InvalidParameterError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
-    if max_size is not None and max_size < 1:
-        raise InvalidParameterError(f"max size must be >= 1, got {max_size}")
+    if max_size is not None and (type(max_size) is not int or max_size < 1):
+        raise InvalidParameterError(f"max size must be an integer >= 1, got {max_size!r}")
     return SUITES[name]() if max_size is None else SUITES[name](max_size)

@@ -110,6 +110,31 @@ def descent_positions(vals):
     return {i + 1 for i in range(len(vals) - 1) if vals[i] > vals[i + 1]}
 
 
+def descent_count_by_scan(vals):
+    """Descents counted in one pass over adjacent pairs.  The oracle of
+    ``descent_count``, which reads the descent set."""
+    v = tuple(vals)
+    return sum(1 for i in range(len(v) - 1) if v[i] > v[i + 1])
+
+
+def run_partition_by_scan(vals):
+    """Maximal increasing runs as 1-indexed (start, end) ranges, cut in one
+    pass wherever an entry is smaller than the one before.  The oracle of
+    ``ascending_run_partition``, which cuts at the sorted descent set."""
+    v = tuple(vals)
+    n = len(v)
+    if n == 0:
+        return []
+    runs = []
+    start = 1
+    for i in range(1, n):
+        if v[i] < v[i - 1]:
+            runs.append((start, i))
+            start = i + 1
+    runs.append((start, n))
+    return runs
+
+
 def inversion_count(vals):
     n = len(vals)
     return sum(1 for i in range(n) for j in range(i + 1, n) if vals[i] > vals[j])

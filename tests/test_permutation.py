@@ -20,7 +20,13 @@ from duploss import (
     random_permutation,
     reversed_identity,
 )
-from helpers import brute_occurrence_indices, inversion_count, permutations_st
+from helpers import (
+    brute_occurrence_indices,
+    descent_count_by_scan,
+    inversion_count,
+    permutations_st,
+    run_partition_by_scan,
+)
 
 
 class TestConstruction:
@@ -47,7 +53,9 @@ class TestConstruction:
         with pytest.raises(DuplicateValueError):
             Permutation([1, 1, 2])
 
-    @pytest.mark.parametrize("vals", [[0, 1, 2], [1, 2, 4], [2], [-1], [True], [2, True]])
+    @pytest.mark.parametrize(
+        "vals", [[0, 1, 2], [1, 2, 4], [2], [-1], [True], [2, True], [1.5], [2.0, 1]]
+    )
     def test_out_of_range_rejected(self, vals):
         with pytest.raises(OutOfRangeError):
             Permutation(vals)
@@ -120,6 +128,37 @@ class TestInversionsAgainstAllPairs:
     def test_reversed_identity_2048(self):
         p = reversed_identity(2048)
         assert inversions(p) == inversion_count(p.values) == 2048 * 2047 // 2
+
+
+class TestRunScannersAgainstLoops:
+    """``descent_count`` and ``ascending_run_partition``, both read off
+    ``descents``, against one-pass loops over adjacent entries."""
+
+    def test_every_permutation_through_s8(self):
+        for n in range(9):
+            for vals in itertools.permutations(range(1, n + 1)):
+                p = Permutation(vals)
+                assert descent_count(p) == descent_count_by_scan(vals)
+                assert ascending_run_partition(p) == run_partition_by_scan(vals)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_uniform_1024(self, seed):
+        p = random_permutation(1024, seed)
+        assert descent_count(p) == descent_count_by_scan(p.values)
+        assert ascending_run_partition(p) == run_partition_by_scan(p.values)
+
+    def test_every_pair_of_descents_at_n24(self):
+        # A set yields small ints in increasing order only while they are below
+        # its table size, so two descents far apart come out of order.
+        n = 24
+        for cuts in itertools.combinations(range(1, n), 2):
+            vals, top = [], n
+            for a, b in zip([0, *cuts], [*cuts, n]):
+                vals += range(top - (b - a) + 1, top + 1)
+                top -= b - a
+            p = Permutation(vals)
+            assert descents(p) == set(cuts)
+            assert ascending_run_partition(p) == run_partition_by_scan(vals)
 
 
 class TestRuns:

@@ -66,10 +66,10 @@ class TestStepConstruction:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0, 2, frozenset()), "start must be >= 1, got 0"),
-            ((0, 2, 0), "start must be >= 1, got 0"),
-            ((1, 0, frozenset()), "width must be >= 1, got 0"),
-            ((1, 0, 0), "width must be >= 1, got 0"),
+            ((0, 2, frozenset()), "start must be an integer >= 1, got 0"),
+            ((0, 2, 0), "start must be an integer >= 1, got 0"),
+            ((1, 0, frozenset()), "width must be an integer >= 1, got 0"),
+            ((1, 0, 0), "width must be an integer >= 1, got 0"),
             ((1, 2, frozenset({3})), "keep offsets [3] outside 1..2"),
             ((1, 2, frozenset({0, 1})), "keep offsets [0, 1] outside 1..2"),
             ((1, 2, -1), "keep mask -1 outside 0..3"),
