@@ -113,6 +113,8 @@ def _lower_bound(n: int, d: int, inv: int, width_limit: int) -> int:
 def lower_bound_steps(n: int, width_limit: int) -> int:
     """Steps certifiably necessary for the worst permutation of size n: the
     bound of a permutation with n - 1 descents and n(n-1)/2 inversions."""
+    if type(n) is not int or n < 0:
+        raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
     return _lower_bound(n, n - 1, n * (n - 1) // 2, width_limit)
 
 

@@ -18,6 +18,7 @@ specializes indexing for exact tuples only.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateValueError, OutOfRangeError, PositionOutOfRangeError
@@ -179,35 +180,77 @@ def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
 
+@functools.lru_cache(maxsize=1024)
+def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int], ...]:
+    """Per depth d of ``pattern``, the indices (floor, ceiling) among its
+    entries before d: the one with the largest value below ``pattern[d]`` and
+    the one with the smallest value above it, -1 where there is none.
+
+    Bounded, like the step caches: a caller scanning many patterns once each
+    would otherwise keep one plan per pattern for good.
+
+    >>> _pattern_plan(Permutation([1, 3, 4, 2]))
+    ((-1, -1), (0, -1), (1, -1), (0, 1))
+    """
+    plan = []
+    for d, p in enumerate(pattern):
+        floor = ceiling = -1
+        for e in range(d):
+            q = pattern[e]
+            if q < p and (floor < 0 or q > pattern[floor]):
+                floor = e
+            elif q > p and (ceiling < 0 or q < pattern[ceiling]):
+                ceiling = e
+        plan.append((floor, ceiling))
+    return tuple(plan)
+
+
 def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
     """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
 
-    Backtracking with prefix pruning: a partial choice is extended only while
-    it stays order-isomorphic to the corresponding pattern prefix, and the
-    search stops at the first full match.
+    A partial match is order-isomorphic to the pattern's prefix exactly when
+    each chosen entry lies between the entries matched to its left floor and
+    left ceiling in the pattern (see ``_pattern_plan``, computed once per
+    pattern and kept in a bounded cache).  So a candidate costs two
+    comparisons, whatever the depth.  The search backtracks over host
+    positions and stops at the first full match.
 
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([1, 3, 4, 2]))
     True
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([3, 2, 1]))
     False
     """
-    hv, patt = tuple(host), tuple(pattern)
-    n, k = len(hv), len(patt)
-    chosen: list[int] = []
-
-    def extend(depth: int, start: int) -> bool:
-        if depth == k:
-            return True
-        for i in range(start, n - (k - depth) + 1):
-            v = hv[i]
-            if all((v > hv[j]) == (patt[depth] > patt[d]) for d, j in enumerate(chosen)):
-                chosen.append(i)
-                if extend(depth + 1, i + 1):
-                    return True
-                chosen.pop()
+    hv = tuple(host)
+    n, k = len(hv), len(pattern)
+    if k > n:
         return False
-
-    return extend(0, 0)
+    if k == 0:
+        return True
+    plan = _pattern_plan(pattern)
+    top = n + 1
+    vals = [0] * k  # host value matched at each depth
+    pos = [0] * k  # host index matched at each depth
+    d = i = 0
+    while True:
+        floor, ceiling = plan[d]
+        lo = vals[floor] if floor >= 0 else 0
+        hi = vals[ceiling] if ceiling >= 0 else top
+        last = n - k + d  # leave room for the depths still to match
+        while i <= last:
+            v = hv[i]
+            if lo < v < hi:
+                vals[d], pos[d] = v, i
+                d += 1
+                if d == k:
+                    return True
+                i += 1
+                break
+            i += 1
+        else:
+            d -= 1
+            if d < 0:
+                return False
+            i = pos[d] + 1
 
 
 def delete(perm: Permutation, position: int) -> Permutation:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotSortedWindowError, WidthExceededError
+from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
 from .permutation import Permutation
 from .steps import DupLossStep, _check_width, _check_window, apply_step_to_list, step_to_json
 
@@ -49,6 +49,8 @@ class Scenario:
     steps: tuple[DupLossStep, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise InvalidParameterError(f"size must be an integer >= 0, got {self.n!r}")
         _check_width(self.width_limit, least=1)
 
     @property
@@ -110,8 +112,10 @@ def bucket_windows(n: int, width_limit: int | float) -> list[tuple[int, int]]:
     """The block decomposition of positions 1..n used by the bucket generator,
     left to right: a remainder block of width <= K, then floor(K/2)-wide blocks
     anchored at the right end."""
+    if type(n) is not int or n < 0:
+        raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
     _check_width(width_limit)
-    if n <= 0:
+    if n == 0:
         return []
     if n <= width_limit:
         return [(1, n)]

@@ -66,7 +66,15 @@ class DupLossStep:
                 raise InvalidParameterError(f"keep mask {keep!r} outside 0..{(1 << width) - 1}")
             mask = keep
         else:
-            offsets = frozenset(keep)
+            try:
+                offsets = frozenset(keep)
+            except TypeError:
+                raise InvalidParameterError(
+                    f"keep {keep!r} is neither a mask nor a set of offsets"
+                ) from None
+            for o in offsets:
+                if type(o) is not int:
+                    raise InvalidParameterError(f"keep offset {o!r} is not an integer")
             if not offsets <= set(range(1, width + 1)):
                 raise InvalidParameterError(f"keep offsets {sorted(offsets)} outside 1..{width}")
             mask = sum(1 << (o - 1) for o in range(1, width + 1) if o in offsets)

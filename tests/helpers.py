@@ -52,6 +52,39 @@ def apply_keep_set(values, step):
     values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
 
 
+def backtrack_contains(host, pattern):
+    """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``,
+    by comparing each candidate with every entry already chosen.  The
+    slow-path oracle of ``contains_pattern``, which compares it with two.
+
+    Backtracking with prefix pruning: a partial choice is extended only while
+    it stays order-isomorphic to the corresponding pattern prefix, and the
+    search stops at the first full match.
+
+    >>> backtrack_contains(Permutation([1, 4, 2, 5, 6, 3]), Permutation([1, 3, 4, 2]))
+    True
+    >>> backtrack_contains(Permutation([1, 4, 2, 5, 6, 3]), Permutation([3, 2, 1]))
+    False
+    """
+    hv, patt = tuple(host), tuple(pattern)
+    n, k = len(hv), len(patt)
+    chosen = []
+
+    def extend(depth: int, start: int) -> bool:
+        if depth == k:
+            return True
+        for i in range(start, n - (k - depth) + 1):
+            v = hv[i]
+            if all((v > hv[j]) == (patt[depth] > patt[d]) for d, j in enumerate(chosen)):
+                chosen.append(i)
+                if extend(depth + 1, i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0, 0)
+
+
 def keep_set_effect_maps(n, width):
     """The position maps of ``steps._effects(n, width)``, in its order, built
     from offset sets through ``apply_keep_set``: every window of width 2..width,

@@ -17,11 +17,15 @@ from duploss import (
     OutOfRangeError,
     Permutation,
     PositionOutOfRangeError,
+    Scenario,
     WidthPolicy,
+    bucket_windows,
     delete,
     enumerate_class,
     identity,
+    lower_bound_steps,
     minimal_forbidden_basis,
+    replay,
     run_benchmark,
     successors,
 )
@@ -86,6 +90,12 @@ SITES = {
         "keep mask {!r} outside 0..3",
         (True, Two.TWO),
     ),
+    "DupLossStep keep offset": (
+        lambda x: DupLossStep(1, 2, {x}),
+        InvalidParameterError,
+        "keep offset {!r} is not an integer",
+        (1.0, 2.0, True, Two.TWO),
+    ),
     "width limit": (
         lambda x: successors(identity(3), x),
         InvalidWidthError,
@@ -106,6 +116,24 @@ SITES = {
     ),
     "minimal_forbidden_basis max_size": (
         lambda x: minimal_forbidden_basis(ClassSpec(3, 1), x),
+        InvalidParameterError,
+        "size must be an integer >= 0, got {!r}",
+        NUMBERS,
+    ),
+    "Scenario size": (
+        lambda x: replay(Scenario(x, 3, ())),
+        InvalidParameterError,
+        "size must be an integer >= 0, got {!r}",
+        NUMBERS,
+    ),
+    "bucket_windows size": (
+        lambda x: bucket_windows(x, 4),
+        InvalidParameterError,
+        "size must be an integer >= 0, got {!r}",
+        NUMBERS + (12.0,),
+    ),
+    "lower_bound_steps size": (
+        lambda x: lower_bound_steps(x, 3),
         InvalidParameterError,
         "size must be an integer >= 0, got {!r}",
         NUMBERS,
@@ -157,3 +185,24 @@ def test_no_isinstance_bool_idiom():
     pattern = re.compile(r"isinstance\([^)]*\bbool\b")
     homes = {p.name for p in SRC.glob("*.py") if pattern.search(p.read_text())}
     assert homes == set()
+
+
+# The size sites again, now with sizes below their bound of 0.
+SIZE_SITES = ["Scenario size", "bucket_windows size", "lower_bound_steps size"]
+
+
+@pytest.mark.parametrize("site", SIZE_SITES)
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_size_refused(site, n):
+    call, error, message, _ = SITES[site]
+    with pytest.raises(error, match=f"^{re.escape(message.format(n))}$"):
+        call(n)
+
+
+@pytest.mark.parametrize("keep", [1.5, None, [[1]]])
+def test_keep_neither_mask_nor_offsets(keep):
+    """A keep that is not an ``int`` is read as offsets; one that cannot be
+    read so is refused with a typed error, not a bare ``TypeError``."""
+    message = f"keep {keep!r} is neither a mask nor a set of offsets"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        DupLossStep(1, 2, keep)

@@ -16,11 +16,14 @@ from duploss import (
     descents,
     identity,
     inversions,
+    one_step_basis,
     parse_one_line,
     random_permutation,
     reversed_identity,
 )
+from duploss.permutation import _pattern_plan
 from helpers import (
+    backtrack_contains,
     brute_occurrence_indices,
     descent_count_by_scan,
     inversion_count,
@@ -216,6 +219,37 @@ class TestPatterns:
     def test_against_brute_force_random(self, host, patt):
         got = contains_pattern(host, patt)
         assert got == bool(brute_occurrence_indices(host.values, patt.values))
+
+    def test_matches_backtracking_oracle_exhaustive(self):
+        """Every host of S_0..S_6 against every pattern of size 0..5."""
+        patterns = [
+            Permutation(p) for k in range(6) for p in itertools.permutations(range(1, k + 1))
+        ]
+        pairs = 0
+        for n in range(7):
+            for vals in itertools.permutations(range(1, n + 1)):
+                host = Permutation(vals)
+                for patt in patterns:
+                    got = contains_pattern(host, patt)
+                    assert got == backtrack_contains(host, patt), (host, patt)
+                    pairs += 1
+        assert pairs == 134_596
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_matches_backtracking_oracle_on_one_step_bases(self, width):
+        """Every host of S_7 against each pattern of the one-step basis."""
+        patterns = one_step_basis(width).sorted_patterns()
+        for vals in itertools.permutations(range(1, 8)):
+            host = Permutation(vals)
+            for patt in patterns:
+                assert contains_pattern(host, patt) == backtrack_contains(host, patt), (host, patt)
+
+    def test_longer_pattern_is_never_contained(self):
+        assert not contains_pattern(identity(2), identity(3))
+        assert not contains_pattern(Permutation(()), Permutation([1]))
+
+    def test_plan_cache_is_bounded(self):
+        assert _pattern_plan.cache_info().maxsize is not None
 
     def test_transitivity_spot_check(self):
         rng = random.Random(7)
