@@ -12,12 +12,16 @@ identity.  Every one of them reaches the memo through ``_search(n, K)``,
 which rejects a negative size, checks the size cap and keys one search by
 (n, min(K, n)), so an infinite width and any width of at least n share the
 search at width n.
-Each state's successors come from the step effects compiled once per (size,
-width) in ``steps``; the memo keeps one ``Permutation`` per state, built
-when the state is found, as both its distance key and its entry in its BFS
-layer, so a class at budget p is the union of the first p + 1 layers.  The
+The memo is keyed by each state's inverse key (``steps.state_key``, the
+inverse permutation as ``bytes``), and a layer's successors come from one
+call of ``steps.successor_values``, which applies the step effects compiled
+once per (size, width) as ``bytes.translate`` tables.  Each layer also keeps
+one ``Permutation`` per state, built once from its key when the state is
+found, so a class at budget p is the union of the first p + 1 layers.  The
 cap (default 10) refuses sizes beyond desk scale, S_11 and up; the
 DUPLOSS_ENUM_CAP environment variable, an integer, is the one override.
+Sizes above 256, whose positions no longer fit in a byte, are refused
+whatever the cap says.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     InvalidWidthError,
 )
 from .permutation import Permutation, all_permutations, contains_pattern, delete
-from .steps import _check_width, successor_values
+from .steps import _check_key_size, _check_width, key_states, state_key, successor_values
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -84,6 +88,7 @@ class PatternBasis:
 def _check_size(n: int) -> None:
     if type(n) is not int or n < 0:
         raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
+    _check_key_size(n)
     env = os.environ.get("DUPLOSS_ENUM_CAP")
     try:
         limit = int(env) if env else DEFAULT_ENUMERATION_CAP
@@ -100,21 +105,24 @@ def _check_size(n: int) -> None:
 class _LayeredSearch:
     """Breadth-first layers of the successor relation from identity(n).
 
-    Each visited state is one ``Permutation``, built when it is found: the
-    key of ``dist``, which maps it to its step distance, and an entry of
-    ``layers[d]``, the list of states at distance d.  As a ``Permutation``
-    hashes and compares as its one-line tuple, ``dist`` answers plain tuples
-    too.  Layers are expanded on demand and kept, so later queries at the
-    same (n, width) reuse all earlier work; an empty last layer means the
-    search is exhausted.
+    The memo is keyed by inverse keys (``steps.state_key``): ``dist`` maps
+    each visited state's key to its step distance, and ``frontier`` holds
+    the keys of the last layer, in order.  A layer is expanded by one call
+    of ``steps.successor_values``, which applies every step effect to every
+    frontier key as one ``bytes.translate``.  ``layers[d]`` lists the states
+    at distance d, one ``Permutation`` each, built once from its key when
+    the state is found.  Layers are expanded on demand and kept, so later
+    queries at the same (n, width) reuse all earlier work; an empty last
+    layer means the search is exhausted.
     """
 
     def __init__(self, n: int, width: int):
         self.n = n
         self.width = width
-        start = Permutation._unchecked(tuple(range(1, n + 1)))
-        self.dist: dict[Permutation, int] = {start: 0}
-        self.layers: list[list[Permutation]] = [[start]]
+        start = state_key(range(1, n + 1))
+        self.dist: dict[bytes, int] = {start: 0}
+        self.frontier: list[bytes] = [start]
+        self.layers: list[list[Permutation]] = [key_states(self.frontier, n)]
 
     @property
     def depth(self) -> int:
@@ -122,22 +130,14 @@ class _LayeredSearch:
 
     def _expand_layer(self) -> None:
         dist = self.dist
-        depth = len(self.layers)
-        width = self.width
-        make = Permutation._unchecked
-        layer = []
-        for perm in self.layers[-1]:
-            # Successors are position maps applied to a permutation, hence
-            # permutations themselves; only unseen ones are built.
-            for succ in successor_values(perm, width).difference(dist):
-                state = make(succ)
-                dist[state] = depth
-                layer.append(state)
-        self.layers.append(layer)
+        frontier = [key for key in successor_values(self.frontier, self.width) if key not in dist]
+        dist.update(dict.fromkeys(frontier, len(self.layers)))
+        self.frontier = frontier
+        self.layers.append(key_states(frontier, self.n))
 
-    def grow(self, depth: int | float, state: tuple[int, ...] | None = None) -> None:
-        """Expand layers until ``state`` is found, ``depth`` layers lie past
-        the identity or the search is exhausted."""
+    def grow(self, depth: int | float, state: bytes | None = None) -> None:
+        """Expand layers until the state keyed ``state`` is found, ``depth``
+        layers lie past the identity or the search is exhausted."""
         while self.depth < depth and state not in self.dist and self.layers[-1]:
             self._expand_layer()
 
@@ -169,21 +169,23 @@ def enumerate_class(spec: ClassSpec, n: int) -> frozenset[Permutation]:
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:
     """Whether ``perm`` is reachable within the spec's budget."""
     search = _search(len(perm), spec.width_limit)
-    search.grow(spec.budget, perm.values)
-    return search.dist.get(perm.values, spec.budget + 1) <= spec.budget
+    key = state_key(perm)
+    search.grow(spec.budget, key)
+    return search.dist.get(key, spec.budget + 1) <= spec.budget
 
 
 def bfs_min_steps(perm: Permutation, width_limit: int | float) -> int:
     """Minimal number of width-bounded steps building ``perm`` from identity."""
     _check_width(width_limit, least=1)
     search = _search(len(perm), width_limit)
-    search.grow(math.inf, perm.values)
-    if perm.values not in search.dist:
+    key = state_key(perm)
+    search.grow(math.inf, key)
+    if key not in search.dist:
         raise InvalidWidthError(
             f"state {tuple(perm)} unreachable at width {search.width}; "
             "widths below 2 reach only the identity"
         )
-    return search.dist[perm.values]
+    return search.dist[key]
 
 
 def one_step_blockers(width_limit: int) -> frozenset[Permutation]:

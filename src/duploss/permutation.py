@@ -67,10 +67,10 @@ class Permutation(tuple):
             seen[v - 1] = True
 
     @classmethod
-    def _unchecked(cls, values: tuple[int, ...]) -> Permutation:
-        """Wrap a tuple already known to be a permutation of 1..n, skipping
+    def _unchecked(cls, values: Iterable[int]) -> Permutation:
+        """Wrap values already known to be a permutation of 1..n, skipping
         validation.  Only for producers whose output is a permutation by
-        construction, such as position maps applied to the identity."""
+        construction, such as the inverse keys of the class search."""
         return tuple.__new__(cls, values)
 
     @property
@@ -226,7 +226,10 @@ def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
         return False
     if k == 0:
         return True
-    plan = _pattern_plan(pattern)
+    try:
+        plan = _pattern_plan(pattern)
+    except TypeError:  # an unhashable sequence, such as a list, misses the cache
+        plan = _pattern_plan(tuple(pattern))
     top = n + 1
     vals = [0] * k  # host value matched at each depth
     pos = [0] * k  # host index matched at each depth

@@ -14,11 +14,20 @@ offsets, and ``keep`` reads the offsets back as a frozenset.
 Two functions write that effect.  ``apply_step_to_list`` applies a given
 step: it reorders the window by an ``operator.itemgetter`` made once per
 ``(width, mask)`` and kept in a bounded cache.  ``apply_step`` and replay
-apply steps through it, and each compiled successor effect is the position
-map it makes of ``list(range(n))``.  ``scenarios._move_right`` writes each
-generated window itself, in the same pass that finds its mask, and replay
-checks that the generated steps build the target.  The tests pin both to the
-keep-set oracle ``tests/helpers.apply_keep_set``.
+apply steps through it.  ``scenarios._move_right`` writes each generated
+window itself, in the same pass that finds its mask, and replay checks that
+the generated steps build the target.  The tests pin both to the keep-set
+oracle ``tests/helpers.apply_keep_set``.
+
+The step neighborhood works on inverse keys: ``state_key(perm)`` is the
+inverse permutation as ``bytes`` (byte v-1 holds the 0-based position of
+value v), so sizes up to ``MAX_KEY_SIZE`` = 256 fit.  A step applies a fixed
+position map m, and on the inverse it relabels positions by m^-1, so each
+distinct step effect, the position map ``apply_step_to_list`` makes of
+``list(range(n))``, is compiled once per (size, width) to a 256-byte
+``bytes.translate`` table.  ``successor_values`` is the layer kernel: one
+call expands a whole breadth-first layer of keys, one ``translate`` per key
+and effect.  ``successors`` converts a ``Permutation`` to its key and back.
 
 ``_check_width`` is the one rule for a width limit K, and every entry point
 that takes K calls it: K is an exact ``int`` of at least 2, or at least 1
@@ -29,12 +38,18 @@ for ``successors``, ``classes.bfs_min_steps`` and ``scenarios.Scenario``, or
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, InvalidWidthError, WindowOutOfRangeError
+from .errors import (
+    BudgetExceededError,
+    InvalidParameterError,
+    InvalidWidthError,
+    WindowOutOfRangeError,
+)
 from .permutation import Permutation, _count_inversions
 
 __all__ = [
@@ -155,20 +170,54 @@ def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
     return Permutation(vals)
 
 
-@functools.lru_cache(maxsize=None)
-def _effects(n: int, width: int) -> tuple[operator.itemgetter, ...]:
-    """The distinct effects of all steps of width <= ``width`` on size-n
-    permutations, each compiled to an ``operator.itemgetter`` over its
-    position map (output position i takes the entry at input position map[i]).
+# The largest size whose 0-based positions fit in a byte, as inverse keys need.
+MAX_KEY_SIZE = 256
+_BYTES = bytes(range(256))
 
-    Each step's map is ``apply_step_to_list`` applied to ``list(range(n))``;
+
+def _check_key_size(n: int) -> None:
+    """The one bound on sizes the inverse keys can hold."""
+    if n > MAX_KEY_SIZE:
+        raise BudgetExceededError(
+            f"size {n} exceeds {MAX_KEY_SIZE}, the largest size whose positions fit in a byte"
+        )
+
+
+def state_key(perm: Sequence[int]) -> bytes:
+    """The inverse key of a permutation: byte v-1 is the 0-based position of
+    value v.
+
+    >>> state_key(Permutation([3, 1, 2]))
+    b'\\x01\\x02\\x00'
+    """
+    n = len(perm)
+    return bytes.maketrans(bytes(v - 1 for v in perm), _BYTES[:n])[:n]
+
+
+def key_states(keys: Iterable[bytes], n: int) -> list[Permutation]:
+    """The size-n permutations whose inverse keys are ``keys``, in order."""
+    make, maketrans = Permutation._unchecked, bytes.maketrans
+    if n < 256:
+        values = _BYTES[1 : n + 1]
+        return [make(maketrans(key, values)[:n]) for key in keys]
+    # Value 256 has no byte: read the 0-based values and add one.
+    return [make(v + 1 for v in maketrans(key, _BYTES)) for key in keys]
+
+
+@functools.lru_cache(maxsize=None)
+def _effects(n: int, width: int) -> tuple[bytes, ...]:
+    """The distinct effects of all steps of width <= ``width`` on size-n
+    permutations, each compiled to a 256-byte ``bytes.translate`` table.
+
+    Each step's position map m (output position i takes the entry at input
+    position m[i]) is ``apply_step_to_list`` applied to ``list(range(n))``;
     the identity map, made by the no-op keep sets (the prefixes {1..j}), is
     dropped.  Steps on different windows often share an effect, which is kept
     once, in order of first appearance: at n=8, width 3, the 31 non-no-op
-    steps have 19 distinct effects.  An effect needs a window of width >= 2,
-    so sizes n <= 1 have none, and otherwise every map has length n >= 2, for
-    which ``itemgetter`` returns a tuple (with a single index it would return
-    a bare value).
+    steps have 19 distinct effects.  A step takes a permutation pi to
+    pi' = pi o m, so on the inverse key q it relabels positions,
+    q' = m^-1 o q: the table has ``table[m[i]] = i`` and is the identity
+    elsewhere, and ``q.translate(table)`` is the successor's key.
     """
     maps: dict[tuple[int, ...], None] = {}
     for lo in range(n):
@@ -178,27 +227,36 @@ def _effects(n: int, width: int) -> tuple[operator.itemgetter, ...]:
                 apply_step_to_list(positions, DupLossStep(lo + 1, w, mask))
                 maps.setdefault(tuple(positions), None)
     maps.pop(tuple(range(n)), None)
-    return tuple(operator.itemgetter(*m) for m in maps)
+    return tuple(bytes.maketrans(bytes(m), _BYTES[:n]) for m in maps)
 
 
-def successor_values(values: tuple[int, ...], width_limit: int) -> set[tuple[int, ...]]:
-    """Raw-tuple successor set; always contains ``values`` itself."""
-    n = len(values)
-    out = {effect(values) for effect in _effects(n, min(width_limit, n))}
-    out.add(values)
-    return out
+def successor_values(keys: Sequence[bytes], width_limit: int | float) -> dict[bytes, None]:
+    """The layer kernel: the inverse keys one step of width <= width_limit
+    from any of ``keys`` (a nonempty layer, all of one size), plus ``keys``
+    themselves, each once, in order of first appearance.
+
+    Deduplicated as they are produced, so the order does not depend on the
+    hash seed and no list of every candidate is built.
+    """
+    n = len(keys[0])
+    tables = _effects(n, min(width_limit, n))
+    stepped = itertools.chain.from_iterable(map(key.translate, tables) for key in keys)
+    return dict.fromkeys(itertools.chain(keys, stepped))
 
 
-def successors(perm: Permutation, width_limit: int) -> set[Permutation]:
+def successors(perm: Permutation, width_limit: int | float) -> set[Permutation]:
     """All permutations reachable from ``perm`` in one step of width <= width_limit,
     deduplicated by output; ``perm`` itself is always included (no-op masks).
+    Sizes above ``MAX_KEY_SIZE`` raise ``BudgetExceededError``.
 
     >>> from .permutation import identity
     >>> sorted(str(p) for p in successors(identity(2), 2))
     ['1,2', '2,1']
     """
     _check_width(width_limit, least=1)
-    return {Permutation(v) for v in successor_values(perm.values, width_limit)}
+    n = len(perm)
+    _check_key_size(n)
+    return set(key_states(successor_values([state_key(perm)], width_limit), n))
 
 
 def inversions_created(perm: Permutation, step: DupLossStep) -> int:

@@ -1,5 +1,10 @@
+import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +29,10 @@ from duploss import (
 )
 from duploss import classes
 from duploss.classes import clear_search_cache
+from duploss.steps import state_key
 from helpers import brute_distances, brute_one_descent
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 P = lambda *vals: Permutation(vals)
 
@@ -273,7 +281,51 @@ def test_each_state_is_one_permutation_object():
     search = classes._search(5, 3)
     search.grow(math.inf)
     entries = {id(p): p for layer in search.layers for p in layer}
-    assert len(search.dist) == len(entries) == math.factorial(5)
-    for state in search.dist:
-        assert type(state) is Permutation
-        assert entries.get(id(state)) is state
+    assert len(search.dist) == len(entries) == len(set(entries.values())) == math.factorial(5)
+    for depth, layer in enumerate(search.layers):
+        for state in layer:
+            assert type(state) is Permutation
+            assert search.dist[state_key(state)] == depth
+    # the classes share the layers' objects
+    members = enumerate_class(ClassSpec(3, search.depth), 5)
+    assert all(entries.get(id(state)) is state for state in members)
+
+
+LAYERS_SCRIPT = """
+import math
+from duploss import classes
+search = classes._search(6, 3)
+search.grow(math.inf)
+print([[tuple(state) for state in layer] for layer in search.layers])
+"""
+
+
+def test_layer_order_does_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", LAYERS_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(ast.literal_eval(outputs[0])[1]) > 1  # an order to get wrong
+
+
+class TestByteBound:
+    """Inverse keys hold a position per byte, so sizes above 256 are refused
+    with a typed error, whatever the enumeration cap says."""
+
+    def test_search_refuses_above_the_byte_bound(self, monkeypatch):
+        monkeypatch.setenv("DUPLOSS_ENUM_CAP", "1000")
+        with pytest.raises(BudgetExceededError, match="exceeds 256"):
+            classes._search(257, 3)
+        with pytest.raises(BudgetExceededError, match="exceeds 256"):
+            enumerate_class(ClassSpec(3, 0), 257)
+        assert classes._search(256, 3).layers == [[identity(256)]]
+        assert is_member(identity(256), ClassSpec(3, 0))
+
+    def test_search_refusal_names_the_byte_bound_under_the_default_cap(self):
+        with pytest.raises(BudgetExceededError, match="exceeds 256"):
+            enumerate_class(ClassSpec(3, 0), 300)

@@ -244,6 +244,13 @@ class TestPatterns:
             for patt in patterns:
                 assert contains_pattern(host, patt) == backtrack_contains(host, patt), (host, patt)
 
+    def test_list_pattern_answers_as_its_tuple(self):
+        for vals in itertools.permutations(range(1, 6)):
+            host = Permutation(vals)
+            for k in range(4):
+                for patt in itertools.permutations(range(1, k + 1)):
+                    assert contains_pattern(host, list(patt)) == contains_pattern(host, patt)
+
     def test_longer_pattern_is_never_contained(self):
         assert not contains_pattern(identity(2), identity(3))
         assert not contains_pattern(Permutation(()), Permutation([1]))

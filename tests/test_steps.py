@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from duploss import (
+    BudgetExceededError,
     DupLossStep,
     InvalidParameterError,
     Permutation,
@@ -18,7 +19,14 @@ from duploss import (
     random_permutation,
     successors,
 )
-from duploss.steps import _effects, apply_step_to_list, step_to_json, successor_values
+from duploss.steps import (
+    _effects,
+    apply_step_to_list,
+    key_states,
+    state_key,
+    step_to_json,
+    successor_values,
+)
 from helpers import (
     apply_keep_set,
     brute_successors,
@@ -98,10 +106,14 @@ class TestMaskKernel:
             assert inversions_created(host, step) == inversion_count(want) - before, step
 
     def test_effects_keep_their_maps_and_order(self):
+        # table[m[i]] = i, identity elsewhere: read each table back to its map m
+        positions = bytes(range(256))
         for n in range(0, 9):
             for width in range(1, n + 2):
-                identity_map = tuple(range(n))
-                got = [effect(identity_map) for effect in _effects(n, width)]
+                got = []
+                for table in _effects(n, width):
+                    assert len(table) == 256 and table[n:] == positions[n:], (n, width)
+                    got.append(tuple(bytes.maketrans(table[:n], positions[:n])[:n]))
                 assert got == keep_set_effect_maps(n, width), (n, width)
 
 
@@ -183,11 +195,43 @@ class TestSuccessors:
                 assert p in successors(p, 2)
 
     def test_matches_brute_force(self):
-        # the compiled effect table against direct window/subset enumeration
+        # the compiled effect tables against direct window/subset enumeration
         for n in range(0, 7):
             for vals in itertools.permutations(range(1, n + 1)):
+                key = state_key(vals)
                 for limit in range(1, n + 2):
-                    assert successor_values(vals, limit) == brute_successors(vals, limit)
+                    got = [tuple(p) for p in key_states(successor_values([key], limit), n)]
+                    assert len(got) == len(set(got))
+                    assert got[0] == vals
+                    assert set(got) == brute_successors(vals, limit)
+
+    def test_layer_kernel_is_the_union_in_first_appearance_order(self):
+        keys = [state_key(random_permutation(7, seed)) for seed in range(5)]
+        keys.append(keys[0])
+        got = list(successor_values(keys, 4))
+        want = set()
+        for key in keys:
+            want |= {state_key(vals) for vals in brute_successors(key_states([key], 7)[0], 4)}
+        assert len(got) == len(want) and set(got) == want
+        assert got[: len(keys) - 1] == keys[:-1]
+
+    def test_inverse_keys_round_trip(self):
+        for n in (0, 1, 5, 255, 256):
+            for seed in range(3):
+                p = random_permutation(n, seed)
+                key = state_key(p)
+                assert sorted(key) == list(range(n))
+                assert all(p[key[v - 1]] == v for v in range(1, n + 1))
+                assert key_states([key], n) == [p]
+
+    def test_size_256_matches_single_steps(self):
+        p = random_permutation(256, 1)
+        want = {apply_step(p, step) for step in all_steps(256, 2)}
+        assert successors(p, 2) == want
+
+    def test_refuses_sizes_above_the_byte_bound(self):
+        with pytest.raises(BudgetExceededError, match="exceeds 256"):
+            successors(identity(257), 2)
 
     @given(permutations_st(min_n=1, max_n=6))
     @settings(deadline=None, max_examples=40)
