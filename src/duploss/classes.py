@@ -13,11 +13,13 @@ which rejects a negative size, checks the size cap and keys one search by
 (n, min(K, n)), so an infinite width and any width of at least n share the
 search at width n.
 The memo is keyed by each state's inverse key (``steps.state_key``, the
-inverse permutation as ``bytes``), and a layer's successors come from one
-call of ``steps.successor_values``, which applies the step effects compiled
-once per (size, width) as ``bytes.translate`` tables.  Each layer also keeps
-one ``Permutation`` per state, built once from its key when the state is
-found, so a class at budget p is the union of the first p + 1 layers.  The
+inverse permutation as ``bytes``).  Reverse-complement (rc) preserves
+distance, so every layer is closed under rc, and a layer's successors come
+from one call of ``steps.successor_values`` on the states x with
+x <= rc(x) only; the new states and their rc images make the next layer,
+sorted by key.  Each layer also keeps one ``Permutation`` per state, built
+once from its key when the state is found, so a class at budget p is the
+union of the first p + 1 layers, grown from the last class returned.  The
 cap (default 10) refuses sizes beyond desk scale, S_11 and up; the
 DUPLOSS_ENUM_CAP environment variable, an integer, is the one override.
 Sizes above 256, whose positions no longer fit in a byte, are refused
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -38,7 +41,14 @@ from .errors import (
     InvalidWidthError,
 )
 from .permutation import Permutation, all_permutations, contains_pattern, delete
-from .steps import _check_key_size, _check_width, key_states, state_key, successor_values
+from .steps import (
+    _check_key_size,
+    _check_width,
+    key_states,
+    reverse_complements,
+    state_key,
+    successor_values,
+)
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -107,13 +117,15 @@ class _LayeredSearch:
 
     The memo is keyed by inverse keys (``steps.state_key``): ``dist`` maps
     each visited state's key to its step distance, and ``frontier`` holds
-    the keys of the last layer, in order.  A layer is expanded by one call
-    of ``steps.successor_values``, which applies every step effect to every
-    frontier key as one ``bytes.translate``.  ``layers[d]`` lists the states
-    at distance d, one ``Permutation`` each, built once from its key when
-    the state is found.  Layers are expanded on demand and kept, so later
-    queries at the same (n, width) reuse all earlier work; an empty last
-    layer means the search is exhausted.
+    the keys of the last layer, sorted.  Every layer is closed under
+    reverse-complement (``steps.reverse_complements``), so a layer is
+    expanded by one call of ``steps.successor_values`` on the keys x with
+    x <= rc(x); the new keys N and rc(N) make the next layer.
+    ``layers[d]`` lists the states at distance d, one ``Permutation`` each,
+    built once from its key when the state is found.  Layers are expanded
+    on demand and kept, so later queries at the same (n, width) reuse all
+    earlier work; an empty last layer means the search is exhausted.
+    ``last_class`` is the (budget, class) ``enumerate_class`` returned last.
     """
 
     def __init__(self, n: int, width: int):
@@ -123,17 +135,21 @@ class _LayeredSearch:
         self.dist: dict[bytes, int] = {start: 0}
         self.frontier: list[bytes] = [start]
         self.layers: list[list[Permutation]] = [key_states(self.frontier, n)]
+        self.last_class: tuple[int, frozenset[Permutation]] = (-1, frozenset())
 
     @property
     def depth(self) -> int:
         return len(self.layers) - 1
 
     def _expand_layer(self) -> None:
-        dist = self.dist
-        frontier = [key for key in successor_values(self.frontier, self.width) if key not in dist]
-        dist.update(dict.fromkeys(frontier, len(self.layers)))
-        self.frontier = frontier
-        self.layers.append(key_states(frontier, self.n))
+        keys = self.frontier
+        reps = list(itertools.compress(keys, map(operator.le, keys, reverse_complements(keys))))
+        new = successor_values(reps, self.width).difference(self.dist)
+        if new:
+            new.update(reverse_complements(list(new)))
+        self.frontier = sorted(new)
+        self.dist.update(dict.fromkeys(self.frontier, len(self.layers)))
+        self.layers.append(key_states(self.frontier, self.n))
 
     def grow(self, depth: int | float, state: bytes | None = None) -> None:
         """Expand layers until the state keyed ``state`` is found, ``depth``
@@ -160,10 +176,22 @@ def clear_search_cache() -> None:
 
 
 def enumerate_class(spec: ClassSpec, n: int) -> frozenset[Permutation]:
-    """All size-n permutations reachable within the spec's budget."""
+    """All size-n permutations reachable within the spec's budget.
+
+    A budget at or above the last one asked of this search is answered by
+    adding the layers between the two to the last class, so a rising run of
+    budgets hashes each state in once.
+    """
     search = _search(n, spec.width_limit)
     search.grow(spec.budget)
-    return frozenset(itertools.chain.from_iterable(search.layers[: spec.budget + 1]))
+    budget = min(spec.budget, search.depth)
+    last, members = search.last_class
+    if last > budget:
+        last, members = -1, frozenset()
+    if last < budget:
+        members = members.union(*search.layers[last + 1 : budget + 1])
+        search.last_class = (budget, members)
+    return members
 
 
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:

@@ -66,13 +66,6 @@ class Permutation(tuple):
                 raise DuplicateValueError(f"value {v} appears more than once")
             seen[v - 1] = True
 
-    @classmethod
-    def _unchecked(cls, values: Iterable[int]) -> Permutation:
-        """Wrap values already known to be a permutation of 1..n, skipping
-        validation.  Only for producers whose output is a permutation by
-        construction, such as the inverse keys of the class search."""
-        return tuple.__new__(cls, values)
-
     @property
     def values(self) -> Permutation:
         """The one-line tuple, which is the permutation itself."""

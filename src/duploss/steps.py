@@ -25,9 +25,14 @@ value v), so sizes up to ``MAX_KEY_SIZE`` = 256 fit.  A step applies a fixed
 position map m, and on the inverse it relabels positions by m^-1, so each
 distinct step effect, the position map ``apply_step_to_list`` makes of
 ``list(range(n))``, is compiled once per (size, width) to a 256-byte
-``bytes.translate`` table.  ``successor_values`` is the layer kernel: one
-call expands a whole breadth-first layer of keys, one ``translate`` per key
-and effect.  ``successors`` converts a ``Permutation`` to its key and back.
+``bytes.translate`` table.  ``successor_values`` is the layer kernel: it
+joins a whole breadth-first layer of keys into one ``bytes``, translates
+that once per effect, splits each result back into keys with a cached
+``struct.Struct`` and returns the neighbourhood as a set.  The effects are
+closed under reversal, so ``reverse_complements`` (rc: reverse positions
+and complement values, one reversed join, translate and split per layer)
+maps a neighbourhood onto the neighbourhood of the rc states.
+``successors`` converts a ``Permutation`` to its key and back.
 
 ``_check_width`` is the one rule for a width limit K, and every entry point
 that takes K calls it: K is an exact ``int`` of at least 2, or at least 1
@@ -41,6 +46,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -195,8 +201,12 @@ def state_key(perm: Sequence[int]) -> bytes:
 
 
 def key_states(keys: Iterable[bytes], n: int) -> list[Permutation]:
-    """The size-n permutations whose inverse keys are ``keys``, in order."""
-    make, maketrans = Permutation._unchecked, bytes.maketrans
+    """The size-n permutations whose inverse keys are ``keys``, in order.
+
+    Each is a permutation by construction, so ``tuple.__new__`` wraps it
+    without ``Permutation``'s check, and without a Python frame per state.
+    """
+    make, maketrans = functools.partial(tuple.__new__, Permutation), bytes.maketrans
     if n < 256:
         values = _BYTES[1 : n + 1]
         return [make(maketrans(key, values)[:n]) for key in keys]
@@ -204,7 +214,7 @@ def key_states(keys: Iterable[bytes], n: int) -> list[Permutation]:
     return [make(v + 1 for v in maketrans(key, _BYTES)) for key in keys]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _effects(n: int, width: int) -> tuple[bytes, ...]:
     """The distinct effects of all steps of width <= ``width`` on size-n
     permutations, each compiled to a 256-byte ``bytes.translate`` table.
@@ -230,18 +240,63 @@ def _effects(n: int, width: int) -> tuple[bytes, ...]:
     return tuple(bytes.maketrans(bytes(m), _BYTES[:n]) for m in maps)
 
 
-def successor_values(keys: Sequence[bytes], width_limit: int | float) -> dict[bytes, None]:
-    """The layer kernel: the inverse keys one step of width <= width_limit
-    from any of ``keys`` (a nonempty layer, all of one size), plus ``keys``
-    themselves, each once, in order of first appearance.
+# Keys are split from a joined layer this many at a time, by one cached
+# struct per size, made only for layers that long; a shorter remainder gets a
+# struct of its own, made with ``struct.Struct`` so that the module's own
+# format cache does not keep it.  A struct costs about 32 bytes per key it
+# splits, so chunks stay short.
+_CHUNK = 1024
 
-    Deduplicated as they are produced, so the order does not depend on the
-    hash seed and no list of every candidate is built.
+
+@functools.lru_cache(maxsize=16)
+def _chunk_struct(n: int) -> struct.Struct:
+    return struct.Struct(f"{n}s" * _CHUNK)
+
+
+def _split_plan(n: int, count: int) -> list[tuple[struct.Struct, int]]:
+    """How to cut ``count`` size-n keys, joined end to end, back into keys:
+    (struct, offset) pairs whose ``unpack_from`` results chain to the keys."""
+    whole, rest = divmod(count, _CHUNK)
+    plan = [(_chunk_struct(n), i * _CHUNK * n) for i in range(whole)]
+    plan.append((struct.Struct(f"{n}s" * rest), whole * _CHUNK * n))
+    return plan
+
+
+def successor_values(keys: Sequence[bytes], width_limit: int | float) -> set[bytes]:
+    """The layer kernel: the set of inverse keys one step of width <=
+    width_limit from any of ``keys`` (a nonempty layer, all of one size),
+    plus ``keys`` themselves.
+
+    The layer is joined into one ``bytes``, which is translated once per
+    step effect and split back into keys, so no Python code runs per key.
     """
     n = len(keys[0])
-    tables = _effects(n, min(width_limit, n))
-    stepped = itertools.chain.from_iterable(map(key.translate, tables) for key in keys)
-    return dict.fromkeys(itertools.chain(keys, stepped))
+    plan = _split_plan(n, len(keys))
+    joined = b"".join(keys)
+    out = set(keys)
+    for table in _effects(n, min(width_limit, n)):
+        stepped = joined.translate(table)
+        for cut, at in plan:
+            out.update(cut.unpack_from(stepped, at))
+    return out
+
+
+def reverse_complements(keys: Sequence[bytes]) -> list[bytes]:
+    """The inverse keys of rc(pi) = C o pi o R, for the keys of a nonempty
+    list of size-n states, in the same order: R reverses positions and C
+    complements values, v -> n+1-v.  On an inverse key q this is
+    ``q[::-1].translate(flip)`` with ``flip[b] = n-1-b``, applied here to
+    the whole joined list at once.  rc is an involution, and since every
+    step effect conjugated by R is a step effect, rc(pi) is exactly as far
+    from the identity as pi.
+    """
+    n = len(keys[0])
+    flip = bytes.maketrans(_BYTES[:n], _BYTES[:n][::-1])
+    joined = b"".join(keys)[::-1].translate(flip)
+    plan = _split_plan(n, len(keys))
+    out = list(itertools.chain.from_iterable(cut.unpack_from(joined, at) for cut, at in plan))
+    out.reverse()
+    return out
 
 
 def successors(perm: Permutation, width_limit: int | float) -> set[Permutation]:

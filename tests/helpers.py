@@ -10,6 +10,7 @@ import itertools
 from hypothesis import strategies as st
 
 from duploss import DupLossStep, Permutation
+from duploss.steps import _effects
 
 
 def rank_pattern(vals):
@@ -99,6 +100,29 @@ def keep_set_effect_maps(n, width):
                 maps.setdefault(tuple(positions), None)
     maps.pop(tuple(range(n)), None)
     return list(maps)
+
+
+def per_key_successor_values(keys, width_limit):
+    """The keys one step of width <= width_limit from any of ``keys``, plus
+    ``keys`` themselves, each once in order of first appearance, by one
+    ``translate`` per key and effect table.  The slow-path oracle of the
+    layer kernel ``steps.successor_values``, which translates the joined
+    layer once per table."""
+    tables = _effects(len(keys[0]), min(width_limit, len(keys[0])))
+    stepped = itertools.chain.from_iterable(map(key.translate, tables) for key in keys)
+    return dict.fromkeys(itertools.chain(keys, stepped))
+
+
+def per_key_layers(start, width_limit):
+    """The breadth-first layers, as lists of keys, of the search from the
+    key ``start`` over ``per_key_successor_values``, every state expanded."""
+    seen = {start}
+    layers = [[start]]
+    while layers[-1]:
+        layer = [key for key in per_key_successor_values(layers[-1], width_limit) if key not in seen]
+        seen.update(layer)
+        layers.append(layer)
+    return layers
 
 
 def brute_successors(vals, width_limit):

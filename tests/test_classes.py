@@ -29,8 +29,8 @@ from duploss import (
 )
 from duploss import classes
 from duploss.classes import clear_search_cache
-from duploss.steps import state_key
-from helpers import brute_distances, brute_one_descent
+from duploss.steps import reverse_complements, state_key
+from helpers import brute_distances, brute_one_descent, per_key_layers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -264,6 +264,65 @@ class TestAgainstBruteSearch:
         clear_search_cache()
         self._check_queries(width, dist)
         self._check_classes(width, dist)
+
+
+class TestReverseComplementHalving:
+    """The search expands only the states x <= rc(x) of each layer; its
+    distances and layers against the search over the per-key oracle, which
+    expands every state, and against a plain brute-force BFS."""
+
+    @staticmethod
+    def _full_search(n, width):
+        clear_search_cache()
+        search = classes._search(n, width)
+        search.grow(math.inf)
+        return search
+
+    @staticmethod
+    def _check(search, oracle):
+        assert search.dist == {key: d for d, layer in enumerate(oracle) for key in layer}
+        assert len(search.layers) == len(oracle)
+        for layer, want in zip(search.layers, oracle):
+            keys = [state_key(state) for state in layer]
+            assert keys == sorted(keys) and set(keys) == set(want)
+            assert not keys or set(reverse_complements(keys)) == set(keys)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_layers_and_distances(self, n):
+        oracles, brute = {}, {}  # by min(K, n), as the search is keyed
+        for width in sorted({1, 2, 3, 4, n, math.inf} - {0}):
+            search = self._full_search(n, width)
+            if search.width not in oracles:
+                oracles[search.width] = per_key_layers(state_key(range(1, n + 1)), width)
+            self._check(search, oracles[search.width])
+            if n < 7 or width == 2:  # brute force on S_7 takes seconds per width
+                if search.width not in brute:
+                    brute[search.width] = brute_distances(n, width)
+                states = {tuple(p): d for d, layer in enumerate(search.layers) for p in layer}
+                assert states == brute[search.width], width
+
+    def test_s8_at_width_three(self):
+        self._check(self._full_search(8, 3), per_key_layers(state_key(range(1, 9)), 3))
+
+
+def test_classes_grow_from_the_last_class_returned():
+    # budgets 0..diameter+1 rising, then falling, then rising after a clear;
+    # each answer is the from-scratch union and holds the layers' objects
+    clear_search_cache()
+    search = classes._search(6, 3)
+    search.grow(math.inf)
+    budgets = list(range(search.depth + 1))  # the last layer is the empty one
+    for order in (budgets, budgets[::-1], None, budgets):
+        if order is None:
+            clear_search_cache()
+            continue
+        for budget in order:
+            members = enumerate_class(ClassSpec(3, budget), 6)
+            search = classes._search(6, 3)
+            layers = search.layers[: budget + 1]
+            assert members == frozenset(itertools.chain.from_iterable(layers)), budget
+            assert {id(p) for p in members} == {id(p) for layer in layers for p in layer}
+            assert search.last_class[1] is members
 
 
 def test_widths_at_or_above_size_share_one_search():

@@ -20,9 +20,12 @@ from duploss import (
     successors,
 )
 from duploss.steps import (
+    _CHUNK,
+    _chunk_struct,
     _effects,
     apply_step_to_list,
     key_states,
+    reverse_complements,
     state_key,
     step_to_json,
     successor_values,
@@ -32,6 +35,7 @@ from helpers import (
     brute_successors,
     inversion_count,
     keep_set_effect_maps,
+    per_key_successor_values,
     permutations_st,
 )
 
@@ -195,25 +199,39 @@ class TestSuccessors:
                 assert p in successors(p, 2)
 
     def test_matches_brute_force(self):
-        # the compiled effect tables against direct window/subset enumeration
+        # the compiled effect tables against direct window/subset enumeration,
+        # and the joined-layer kernel against the per-key oracle
         for n in range(0, 7):
             for vals in itertools.permutations(range(1, n + 1)):
                 key = state_key(vals)
                 for limit in range(1, n + 2):
-                    got = [tuple(p) for p in key_states(successor_values([key], limit), n)]
-                    assert len(got) == len(set(got))
-                    assert got[0] == vals
-                    assert set(got) == brute_successors(vals, limit)
+                    got = successor_values([key], limit)
+                    assert type(got) is set and key in got
+                    assert got == set(per_key_successor_values([key], limit))
+                    states = {tuple(p) for p in key_states(got, n)}
+                    assert len(states) == len(got)
+                    assert states == brute_successors(vals, limit)
 
     def test_layer_kernel_is_the_union_in_first_appearance_order(self):
+        # a set now: the union of every key's neighbourhood, the keys included
         keys = [state_key(random_permutation(7, seed)) for seed in range(5)]
         keys.append(keys[0])
-        got = list(successor_values(keys, 4))
+        got = successor_values(keys, 4)
         want = set()
         for key in keys:
             want |= {state_key(vals) for vals in brute_successors(key_states([key], 7)[0], 4)}
-        assert len(got) == len(want) and set(got) == want
-        assert got[: len(keys) - 1] == keys[:-1]
+        assert type(got) is set and got == want
+        assert set(keys) <= got
+        assert got == set(per_key_successor_values(keys, 4))
+
+    @pytest.mark.parametrize("count", (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1))
+    def test_layer_kernel_across_split_chunks(self, count):
+        keys = [state_key(p) for p in itertools.islice(itertools.permutations(range(8, 0, -1)), count)]
+        assert successor_values(keys, 3) == set(per_key_successor_values(keys, 3))
+
+    def test_caches_are_bounded(self):
+        for cache in (_effects, _chunk_struct):
+            assert cache.cache_info().maxsize is not None
 
     def test_inverse_keys_round_trip(self):
         for n in (0, 1, 5, 255, 256):
@@ -241,6 +259,39 @@ class TestSuccessors:
             cur = successors(p, limit)
             assert prev <= cur
             prev = cur
+
+
+def conjugate_by_reversal(table, n):
+    """The table of R m R for the table of the position map m, where R
+    reverses the n positions: t'[b] = n-1-t[n-1-b] below n."""
+    return bytes(n - 1 - table[n - 1 - b] for b in range(n)) + table[n:]
+
+
+class TestReverseComplement:
+    """rc(pi) = C o pi o R on inverse keys, and the closure of the step
+    effects under reversal that makes rc preserve distance."""
+
+    def test_effects_are_closed_under_reversal(self):
+        for n in range(0, 9):
+            for width in range(1, n + 1):
+                tables = set(_effects(n, width))
+                assert {conjugate_by_reversal(t, n) for t in tables} == tables, (n, width)
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 7, 255, 256))
+    def test_rc_is_an_involution_equal_to_c_pi_r(self, n):
+        for width in (1, 2, 3):
+            tables = set(_effects(n, width))
+            assert {conjugate_by_reversal(t, n) for t in tables} == tables, width
+        perms = [random_permutation(n, seed) for seed in range(4)]
+        keys = [state_key(p) for p in perms]
+        rcs = reverse_complements(keys)
+        assert rcs == [state_key([n + 1 - v for v in reversed(p)]) for p in perms]
+        assert reverse_complements(rcs) == keys
+
+    def test_whole_layer_across_split_chunks(self):
+        perms = list(itertools.permutations(range(1, 8)))  # 5040 keys: whole chunks and a rest
+        rcs = reverse_complements([state_key(p) for p in perms])
+        assert rcs == [state_key([8 - v for v in reversed(p)]) for p in perms]
 
 
 class TestInversionsCreated:
