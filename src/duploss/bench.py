@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, VerificationError
-from .permutation import Permutation, descent_count, inversions, reversed_identity
+from .permutation import Permutation, _values, descent_count, inversions, reversed_identity
 from .scenarios import bucket_scenario, replay
 from .steps import _check_width
 
@@ -87,8 +87,8 @@ def parse_width_policy(text: str) -> WidthPolicy:
 
 def random_permutation(n: int, seed: int) -> Permutation:
     """Uniform permutation of size n, deterministic per (n, seed)."""
+    vals = list(_values(n))
     rng = random.Random(seed)
-    vals = list(range(1, n + 1))
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)
         vals[i], vals[j] = vals[j], vals[i]
@@ -179,6 +179,8 @@ def run_benchmark(
         raise InvalidParameterError(f"samples must be an integer >= 1, got {samples!r}")
     if any(type(n) is not int or n < 0 for n in sizes):
         raise InvalidParameterError(f"sizes must be integers >= 0, got {sizes!r}")
+    if type(seed) is not int:
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
     rows = []
     for n in sizes:
         width = policy.width_for(n)

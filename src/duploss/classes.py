@@ -5,7 +5,9 @@ The class with parameters (K, p) holds every permutation (of any size)
 reachable from the identity in at most p steps of width at most K.  Because
 no-op steps exist, "at most p" and "exactly p" coincide.  The class is closed
 downward under pattern containment, so it is also the avoider set of a basis
-of minimal forbidden patterns; for p = 1 that basis has a closed form.
+of minimal forbidden patterns; for p = 1 that basis has a closed form.  Such
+sets are built size by size by one rule, ``_extensions``: a permutation
+avoids a basis iff it is not in the basis and its one-point deletions avoid it.
 
 Exhaustive operations breadth-first-search the successor relation from the
 identity.  Every one of them reaches the memo through ``_search(n, K)``,
@@ -40,7 +42,7 @@ from .errors import (
     InvalidParameterError,
     InvalidWidthError,
 )
-from .permutation import Permutation, all_permutations, contains_pattern, delete
+from .permutation import Permutation, contains_pattern, delete
 from .steps import (
     _check_key_size,
     _check_width,
@@ -263,23 +265,31 @@ def is_antichain(patterns: frozenset[Permutation]) -> bool:
     return True
 
 
-def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
-    """Brute-force minimal forbidden patterns up to ``max_size``: the
-    non-members all of whose one-element deletions are members.
+def _extensions(smaller, n: int, skip=frozenset()) -> set[Permutation]:
+    """The size-n permutations outside ``skip`` whose one-point deletions all
+    lie in ``smaller``, a set of size-(n-1) permutations.  Each arises once,
+    as n inserted into its deletion of n; ``skip`` is tested first.
 
-    Downward closure of the class makes one-element-deletion minimality
-    equivalent to pattern-minimality, so the result is an antichain.
+    >>> sorted(map(str, _extensions({(1, 2), (2, 1)}, 3, skip={(3, 2, 1)})))
+    ['1,2,3', '1,3,2', '2,1,3', '2,3,1', '3,1,2']
+    """
+    candidates = ((*small[:i], n, *small[i:]) for small in smaller for i in range(n))
+    kept = map(Permutation, itertools.filterfalse(skip.__contains__, candidates))
+    return {big for big in kept if all(delete(big, pos) in smaller for pos in range(1, n + 1))}
+
+
+def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
+    """Minimal forbidden patterns up to ``max_size``, the non-members whose
+    one-point deletions are all members, built size by size by
+    ``_extensions``.  Downward closure makes this minimality equivalent to
+    pattern-minimality, so the result is an antichain.  Its provenance,
+    "brute-force", means found from the class search, not from a theorem.
     """
     _check_size(max_size)
-    minimal: list[Permutation] = []
-    smaller: frozenset[Permutation] = frozenset()
+    minimal, smaller = set(), {Permutation(())}
     for n in range(1, max_size + 1):
         members = enumerate_class(spec, n)
-        for candidate in all_permutations(n):
-            if candidate in members:
-                continue
-            if all(delete(candidate, pos) in smaller for pos in range(1, n + 1)):
-                minimal.append(candidate)
+        minimal |= _extensions(smaller, n, skip=members)
         smaller = members
     return PatternBasis(frozenset(minimal), True, "brute-force")
 

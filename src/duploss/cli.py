@@ -87,6 +87,8 @@ def _cmd_class_basis(args) -> int:
     if args.theorem:
         if args.steps != 1:
             raise InvalidParameterError("the closed-form basis exists only for one step")
+        if args.max_size is not None:
+            raise InvalidParameterError("class basis takes --max-size or --theorem, not both")
         basis = one_step_basis(args.width)
         max_size = args.width + 1
     elif args.max_size is None:

@@ -19,9 +19,15 @@ specializes indexing for exact tuples only.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DuplicateValueError, OutOfRangeError, PositionOutOfRangeError
+from .errors import (
+    DuplicateValueError,
+    InvalidParameterError,
+    OutOfRangeError,
+    PositionOutOfRangeError,
+)
 
 __all__ = [
     "Permutation",
@@ -107,13 +113,20 @@ def parse_one_line(text: str) -> Permutation:
     return Permutation(vals)
 
 
+def _values(n: int) -> range:
+    """1..n, for a size n that must be an integer >= 0."""
+    if type(n) is not int or n < 0:
+        raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
+    return range(1, n + 1)
+
+
 def identity(n: int) -> Permutation:
-    return Permutation(range(1, n + 1))
+    return Permutation(_values(n))
 
 
 def reversed_identity(n: int) -> Permutation:
     """n (n-1) ... 2 1, the unique permutation with n-1 descents."""
-    return Permutation(range(n, 0, -1))
+    return Permutation(reversed(_values(n)))
 
 
 def descents(perm: Permutation) -> set[int]:
@@ -265,7 +278,4 @@ def delete(perm: Permutation, position: int) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of size n, in lexicographic order of one-line values."""
-    import itertools
-
-    for vals in itertools.permutations(range(1, n + 1)):
-        yield Permutation(vals)
+    return map(Permutation, itertools.permutations(_values(n)))

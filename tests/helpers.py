@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from duploss import DupLossStep, Permutation
+from duploss import DupLossStep, Permutation, all_permutations, delete, enumerate_class
 from duploss.steps import _effects
 
 
@@ -84,6 +84,24 @@ def backtrack_contains(host, pattern):
         return False
 
     return extend(0, 0)
+
+
+def scan_minimal_forbidden_basis(spec, max_size):
+    """Minimal forbidden patterns up to ``max_size``, by a scan of each S_n
+    for the non-members all of whose one-point deletions are members.  The
+    slow-path oracle of ``minimal_forbidden_basis``, which builds each size
+    from the class one size below."""
+    minimal = set()
+    smaller = frozenset()
+    for n in range(1, max_size + 1):
+        members = enumerate_class(spec, n)
+        for candidate in all_permutations(n):
+            if candidate in members:
+                continue
+            if all(delete(candidate, pos) in smaller for pos in range(1, n + 1)):
+                minimal.add(candidate)
+        smaller = members
+    return frozenset(minimal)
 
 
 def keep_set_effect_maps(n, width):

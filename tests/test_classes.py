@@ -27,10 +27,16 @@ from duploss import (
     one_step_basis,
     one_step_blockers,
 )
-from duploss import classes
-from duploss.classes import clear_search_cache
+from duploss import classes, verify
+from duploss.classes import _extensions, clear_search_cache
 from duploss.steps import reverse_complements, state_key
-from helpers import brute_distances, brute_one_descent, per_key_layers
+from helpers import (
+    backtrack_contains,
+    brute_distances,
+    brute_one_descent,
+    per_key_layers,
+    scan_minimal_forbidden_basis,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -194,6 +200,76 @@ class TestMinimalBasis:
         assert obj["K"] == 2 and obj["p"] == 1 and obj["max_size"] == 5
         assert obj["antichain"] is True and obj["provenance"] == "brute-force"
         assert obj["patterns"] == ["2,3,1", "3,1,2", "3,2,1", "2,1,4,3"]
+
+
+def check_avoider_layers(width, max_n):
+    """The avoider layers ``_extensions`` builds from the one-step basis of
+    width ``width`` equal a ``backtrack_contains`` scan of S_1..S_max_n.
+    The suite checks through S_7; the S_8 check is run by hand:
+    ``PYTHONPATH=src:tests python -c "from test_classes import *;
+    [check_avoider_layers(k, 8) for k in (2, 3, 4)]"``."""
+    patterns = one_step_basis(width).sorted_patterns()  # short ones first: cheapest tests
+    avoiders = {Permutation(())}
+    for n in range(1, max_n + 1):
+        avoiders = _extensions(avoiders, n, skip=frozenset(patterns))
+        scan = {p for p in itertools.permutations(range(1, n + 1))
+                if not any(backtrack_contains(p, b) for b in patterns)}
+        assert avoiders == scan, (width, n)
+
+
+class TestDeletionLayers:
+    """``_extensions`` against the S_n scans it replaces."""
+
+    @pytest.mark.parametrize("width, budget", [
+        (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3), (math.inf, 1),
+    ])
+    def test_basis_matches_the_scan(self, width, budget):
+        spec = ClassSpec(width, budget)
+        assert minimal_forbidden_basis(spec, 7).patterns == scan_minimal_forbidden_basis(spec, 7)
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_dense_class_matches_the_scan(self, below):
+        # at the diameter of S_7 under K = 3 every S_n up to 7 lies in the
+        # class, so every candidate is skipped and the basis is empty; one
+        # step below it, the minimal patterns are states of the last layer
+        search = classes._search(7, 3)
+        search.grow(math.inf)
+        spec = ClassSpec(3, search.depth - 1 - below)  # the last layer is the empty one
+        basis = minimal_forbidden_basis(spec, 7).patterns
+        assert basis == scan_minimal_forbidden_basis(spec, 7)
+        assert basis == set(search.layers[-2] if below else ())
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_avoider_layers_match_a_backtracking_scan(self, width):
+        check_avoider_layers(width, 7)
+
+    @pytest.mark.parametrize("dropped, added", [({P(3, 2, 1)}, set()), (set(), {P(1, 3, 2)})])
+    def test_basis_suite_reports_a_wrong_basis(self, monkeypatch, dropped, added):
+        # too few patterns leave extra avoiders, too many (132 is a member) too few
+        def wrong_basis(width):
+            basis = one_step_basis(width)
+            patterns = basis.patterns - dropped | added
+            return classes.PatternBasis(patterns, False, basis.provenance)
+
+        monkeypatch.setattr(verify, "one_step_basis", wrong_basis)
+        failed = [(name, detail) for name, ok, detail in verify.run_suite("basis", 5) if not ok]
+        assert [name for name, _ in failed] == [
+            f"avoiders of the one-step basis (K={k}) equal the class" for k in (2, 3, 4)
+        ] + [f"brute-force basis (K={k}) matches the closed form" for k in (2, 3, 4)]
+        first = str(next(iter(dropped | added)))
+        assert all(detail.endswith(f"first: {first}") for _, detail in failed[:3])
+
+    def test_closure_suite_reports_a_class_not_closed(self, monkeypatch):
+        # with 132 gone from size 3, the size-4 members containing it fail
+        def without_132(spec, n):
+            return enumerate_class(spec, n) - {P(1, 3, 2)}
+
+        monkeypatch.setattr(verify, "enumerate_class", without_132)
+        details = [detail for _, ok, detail in verify.run_suite("closure", 4) if not ok]
+        assert len(details) == 3 and all(d.endswith("first: 1,2,4,3") for d in details), details
+
+    def test_basis_suite_passes_at_size_ten(self):
+        assert all(ok for _, ok, _ in verify.run_suite("basis", 10))
 
 
 class TestMinSteps:

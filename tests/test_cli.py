@@ -122,6 +122,8 @@ class TestErrors:
         (["class", "basis", "--width", "2", "--steps", "1"], "InvalidParameterError"),
         (["class", "basis", "--width", "3", "--steps", "2", "--theorem"],
          "InvalidParameterError"),
+        (["class", "basis", "--width", "3", "--steps", "1", "--theorem", "--max-size", "2"],
+         "InvalidParameterError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
         assert main(argv) == 2

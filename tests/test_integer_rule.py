@@ -19,6 +19,7 @@ from duploss import (
     PositionOutOfRangeError,
     Scenario,
     WidthPolicy,
+    all_permutations,
     bucket_windows,
     delete,
     enumerate_class,
@@ -26,9 +27,11 @@ from duploss import (
     lower_bound_steps,
     minimal_forbidden_basis,
     replay,
+    reversed_identity,
     run_benchmark,
     successors,
 )
+from duploss.bench import random_permutation
 from duploss.verify import run_suite
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "duploss"
@@ -120,6 +123,30 @@ SITES = {
         "size must be an integer >= 0, got {!r}",
         NUMBERS,
     ),
+    "identity size": (
+        identity,
+        InvalidParameterError,
+        "size must be an integer >= 0, got {!r}",
+        NUMBERS,
+    ),
+    "reversed_identity size": (
+        reversed_identity,
+        InvalidParameterError,
+        "size must be an integer >= 0, got {!r}",
+        NUMBERS,
+    ),
+    "all_permutations size": (
+        all_permutations,
+        InvalidParameterError,
+        "size must be an integer >= 0, got {!r}",
+        NUMBERS,
+    ),
+    "random_permutation size": (
+        lambda x: random_permutation(x, 1),
+        InvalidParameterError,
+        "size must be an integer >= 0, got {!r}",
+        NUMBERS,
+    ),
     "Scenario size": (
         lambda x: replay(Scenario(x, 3, ())),
         InvalidParameterError,
@@ -148,6 +175,12 @@ SITES = {
         lambda x: run_benchmark(POLICY, [8], x, 0),
         InvalidParameterError,
         "samples must be an integer >= 1, got {!r}",
+        NUMBERS,
+    ),
+    "run_benchmark seed": (
+        lambda x: run_benchmark(POLICY, [8], 1, x),
+        InvalidParameterError,
+        "seed must be an integer, got {!r}",
         NUMBERS,
     ),
     "run_benchmark sizes": (
@@ -188,7 +221,15 @@ def test_no_isinstance_bool_idiom():
 
 
 # The size sites again, now with sizes below their bound of 0.
-SIZE_SITES = ["Scenario size", "bucket_windows size", "lower_bound_steps size"]
+SIZE_SITES = [
+    "identity size",
+    "reversed_identity size",
+    "all_permutations size",
+    "random_permutation size",
+    "Scenario size",
+    "bucket_windows size",
+    "lower_bound_steps size",
+]
 
 
 @pytest.mark.parametrize("site", SIZE_SITES)
