@@ -271,8 +271,9 @@ def delete(perm: Permutation, position: int) -> Permutation:
     Permutation([4, 1, 2, 3, 6, 5])
     """
     removed = perm.value_at(position)
-    return Permutation(
-        (x - 1 if x > removed else x) for i, x in enumerate(perm) if i != position - 1
+    # a permutation by construction, so wrapped without re-checking each entry
+    return tuple.__new__(
+        Permutation, [x - 1 if x > removed else x for i, x in enumerate(perm) if i != position - 1]
     )
 
 

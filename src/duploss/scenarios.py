@@ -13,11 +13,14 @@ exactly ceil(log2(descents + 1)) steps, each spanning the whole permutation.
 right to left in blocks of floor(K/2) positions (plus a leftmost remainder
 block of width at most K), phase 1 convoys each block's values into place in
 increasing order, and phase 2 runs the radix generator inside each block.
+Each convoy stably partitions the positions up to its block's end, so phase
+1 reads a member's position as its rank among the values not yet placed.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,36 +131,29 @@ def bucket_windows(n: int, width_limit: int | float) -> list[tuple[int, int]]:
 
 
 def _convoy_steps(
-    work: list[int],
-    members: frozenset[int],
-    target_start: int,
-    target_end: int,
-    width_limit: int,
+    where: Sequence[int], target_start: int, target_end: int, width_limit: int
 ) -> list[DupLossStep]:
-    """Move ``members`` rightward so they occupy target_start..target_end,
-    preserving both groups' relative order; mutates ``work`` and returns the
-    steps taken.
-
-    Each step takes the width-K window starting at the leftmost undelivered
-    member (clamped so that the final window ends at target_end), keeps the
-    non-members in the first copy and the members in the second, advancing the
-    convoy by at least ceil(K/2) positions per step.  The step whose window
-    ends at target_end is the last.  Members that do not fit the block (too
-    many of them, or one right of it) are left out of place, and the block's
-    end-state check in ``_radix_steps`` reports them.
-    """
-    s = next((i for i, v in enumerate(work, 1) if v in members), target_start)
+    """The steps moving the members at increasing positions ``where`` to
+    target_start..target_end, each group keeping its order.  Each K-wide window
+    starts at the convoy [s, s+m-1] of the m members moved so far (clamped to
+    end at target_end) and moves it and each member it reaches to its end; the
+    last ends at target_end.  Raises NotSortedWindowError unless they fill the block exactly."""
+    k, m = len(where), 0  # where[m:] are still where they started
+    s = where[0] if k else target_start
     steps: list[DupLossStep] = []
-    while s < target_start:
-        if s + width_limit - 1 >= target_end:
-            lo, hi = max(1, target_end - width_limit + 1), target_end
-        else:
-            lo, hi = s, s + width_limit - 1
-        step = _move_right(work, lo, hi, members)
-        steps.append(step)
+    while s < target_start and m < width_limit:  # K members would fill the window
+        hi = min(s + width_limit - 1, target_end)
+        lo = max(1, hi - width_limit + 1)
+        moved = ((1 << m) - 1) << (s - lo)
+        while m < k and where[m] <= hi:
+            moved |= 1 << (where[m] - lo)
+            m += 1
+        steps.append(DupLossStep(lo, hi - lo + 1, ((1 << (hi - lo + 1)) - 1) ^ moved))
+        s = hi - m + 1
         if hi == target_end:
             break
-        s = lo + step.mask.bit_count()  # the members now fill the window's right end
+    if k != target_end - target_start + 1 or s != target_start or where[-1] > target_end:
+        raise NotSortedWindowError(f"convoy left [{target_start}, {target_end}] unfilled")
     return steps
 
 
@@ -166,22 +162,26 @@ def bucket_phases(
 ) -> tuple[list[DupLossStep], list[DupLossStep]]:
     """The two step lists of the bucket generator for ``target``.
 
-    Phase 1 convoys each block's values into place (rightmost block first),
-    leaving every block increasing; phase 2 radix-rearranges the blocks right
-    to left, the leftmost remainder block last.
+    Phase 1 convoys each block's values into place, rightmost block first.
+    Until block [t1, t2] is convoyed, positions 1..t2 hold the values not yet
+    placed in increasing order, so a member's position is its rank among them.
+    Phase 2 starts from every block increasing and radix-rearranges the blocks
+    right to left, the leftmost remainder block last.
     """
     n = len(target)
     windows = bucket_windows(n, width_limit)
-    sigma = target.values
-    work = list(range(1, n + 1))
+    unplaced = list(range(1, n + 1))
     phase1: list[DupLossStep] = []
     # windows[0] is the leftmost remainder block; convoy the others right to left.
     for t1, t2 in reversed(windows[1:]):
-        members = frozenset(sigma[t1 - 1 : t2])
-        phase1.extend(_convoy_steps(work, members, t1, t2, width_limit))
+        where = [bisect_left(unplaced, v) + 1 for v in sorted(target[t1 - 1 : t2])]
+        phase1.extend(_convoy_steps(where, t1, t2, width_limit))
+        for p in reversed(where):
+            del unplaced[p - 1]
+    work = [v for t1, t2 in windows for v in sorted(target[t1 - 1 : t2])]
     phase2: list[DupLossStep] = []
     for t1, t2 in list(reversed(windows[1:])) + windows[:1]:
-        phase2.extend(_radix_steps(work, t1, sigma[t1 - 1 : t2]))
+        phase2.extend(_radix_steps(work, t1, target[t1 - 1 : t2]))
     return phase1, phase2
 
 

@@ -14,10 +14,10 @@ offsets, and ``keep`` reads the offsets back as a frozenset.
 Two functions write that effect.  ``apply_step_to_list`` applies a given
 step: it reorders the window by an ``operator.itemgetter`` made once per
 ``(width, mask)`` and kept in a bounded cache.  ``apply_step`` and replay
-apply steps through it.  ``scenarios._move_right`` writes each generated
-window itself, in the same pass that finds its mask, and replay checks that
-the generated steps build the target.  The tests pin both to the keep-set
-oracle ``tests/helpers.apply_keep_set``.
+apply steps through it.  The bucket convoy finds its masks from value ranks
+and writes no window; the radix phase, ``scenarios._move_right``, writes each
+window in the pass that finds its mask.  Replay checks that generated steps
+build the target; the tests pin both to ``tests/helpers.apply_keep_set``.
 
 The step neighborhood works on inverse keys: ``state_key(perm)`` is the
 inverse permutation as ``bytes`` (byte v-1 holds the 0-based position of

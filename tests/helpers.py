@@ -6,10 +6,21 @@ code that shares none of their implementation.
 """
 
 import itertools
+import math
 
 from hypothesis import strategies as st
 
-from duploss import DupLossStep, Permutation, all_permutations, delete, enumerate_class
+from duploss import (
+    DupLossStep,
+    Permutation,
+    all_permutations,
+    bucket_phases,
+    bucket_windows,
+    delete,
+    enumerate_class,
+    random_permutation,
+)
+from duploss.scenarios import _move_right, _radix_steps
 from duploss.steps import _effects
 
 
@@ -51,6 +62,59 @@ def apply_keep_set(values, step):
     window = values[lo : lo + step.width]
     kept = [v for o, v in enumerate(window, 1) if o in keep]
     values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
+
+
+def scan_convoy(work, members, target_start, target_end, width_limit):
+    """Move ``members`` rightward so they occupy target_start..target_end,
+    each step a ``_move_right`` that scans and rewrites its width-K window;
+    mutates ``work`` and returns the steps.  The window starts at the
+    leftmost member, clamped to end at target_end, and the step whose window
+    ends there is the last."""
+    s = next((i for i, v in enumerate(work, 1) if v in members), target_start)
+    steps = []
+    while s < target_start:
+        if s + width_limit - 1 >= target_end:
+            lo, hi = max(1, target_end - width_limit + 1), target_end
+        else:
+            lo, hi = s, s + width_limit - 1
+        step = _move_right(work, lo, hi, members)
+        steps.append(step)
+        if hi == target_end:
+            break
+        s = lo + step.mask.bit_count()  # the members now fill the window's right end
+    return steps
+
+
+def scan_bucket_phases(target, width_limit):
+    """The bucket generator's two phases with phase 1 by ``scan_convoy``, and
+    phase 2 started from the list phase 1 wrote.  The slow-path oracle of
+    ``bucket_phases``, which computes phase 1 from value ranks; the blocks
+    and the radix phase are the library's own."""
+    windows = bucket_windows(len(target), width_limit)
+    work = list(range(1, len(target) + 1))
+    phase1 = []
+    for t1, t2 in reversed(windows[1:]):
+        phase1 += scan_convoy(work, frozenset(target[t1 - 1 : t2]), t1, t2, width_limit)
+    phase2 = []
+    for t1, t2 in list(reversed(windows[1:])) + windows[:1]:
+        phase2 += _radix_steps(work, t1, target[t1 - 1 : t2])
+    return phase1, phase2
+
+
+def check_bucket_phases(
+    sizes, seeds, widths=lambda n: (2, 3, 8, math.ceil(n / math.log2(n)), math.inf)
+):
+    """Assert ``bucket_phases`` equals ``scan_bucket_phases`` step for step on
+    ``random_permutation(n, seed)`` for each size, seed and width in
+    ``widths(n)``; returns the number of distinct cases checked."""
+    cases = 0
+    for n in sizes:
+        for seed in seeds:
+            p = random_permutation(n, seed)
+            for limit in dict.fromkeys(widths(n)):
+                assert bucket_phases(p, limit) == scan_bucket_phases(p, limit), (n, seed, limit)
+                cases += 1
+    return cases
 
 
 def backtrack_contains(host, pattern):

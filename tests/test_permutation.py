@@ -28,6 +28,7 @@ from helpers import (
     descent_count_by_scan,
     inversion_count,
     permutations_st,
+    rank_pattern,
     run_partition_by_scan,
 )
 
@@ -287,6 +288,15 @@ class TestDelete:
             delete(identity(3), 4)
         with pytest.raises(PositionOutOfRangeError):
             delete(identity(3), 0)
+
+    def test_matches_the_checked_constructor_through_s7(self):
+        for n in range(1, 8):
+            for vals in itertools.permutations(range(1, n + 1)):
+                p = Permutation(vals)
+                for pos in range(1, n + 1):
+                    d = delete(p, pos)
+                    assert type(d) is Permutation
+                    assert d == Permutation(rank_pattern(vals[: pos - 1] + vals[pos:]))
 
     @given(permutations_st(min_n=1, max_n=8))
     @settings(deadline=None)

@@ -30,7 +30,7 @@ from duploss import (
 from duploss import scenarios
 from duploss.scenarios import _convoy_steps, _radix_steps
 from duploss.steps import apply_step_to_list
-from helpers import apply_keep_set
+from helpers import apply_keep_set, check_bucket_phases, scan_bucket_phases, scan_convoy
 
 
 def steps_formula(p: Permutation) -> int:
@@ -197,11 +197,35 @@ class TestBucket:
         assert all(s.width <= limit for s in sc.steps)
 
     def test_block_end_state_check(self, monkeypatch):
-        # with no convoy steps the blocks do not hold their values; the end-state
-        # check of each block's radix phase is the one check that reports it
-        monkeypatch.setattr(scenarios, "_convoy_steps", lambda *args: [])
+        # a convoy handed one member fewer leaves its block unfilled; phase 2
+        # starts from a derived state, so the convoy's own guard reports it
+        convoy = scenarios._convoy_steps
+        monkeypatch.setattr(
+            scenarios, "_convoy_steps", lambda where, *rest: convoy(where[:-1], *rest)
+        )
         with pytest.raises(NotSortedWindowError):
             bucket_phases(reversed_identity(10), 4)
+
+    def test_phases_match_the_window_scanning_oracle_exhaustive(self):
+        for n in range(0, 7):
+            for limit in range(2, 8):
+                for vals in itertools.permutations(range(1, n + 1)):
+                    p = Permutation(vals)
+                    assert bucket_phases(p, limit) == scan_bucket_phases(p, limit)
+
+    def test_phases_match_the_window_scanning_oracle_seeded(self):
+        check_bucket_phases(sizes=(16, 64, 128, 256, 512), seeds=range(4))
+
+    def test_phase_one_leaves_every_block_increasing(self):
+        # the state phase 2 starts from, replayed through the keep-set oracle
+        for seed, n in enumerate((10, 33, 64, 100, 256)):
+            p = random_permutation(n, seed)
+            for limit in range(2, 13):
+                work = list(range(1, n + 1))
+                for step in bucket_phases(p, limit)[0]:
+                    apply_keep_set(work, step)
+                for t1, t2 in bucket_windows(n, limit):
+                    assert work[t1 - 1 : t2] == sorted(p[t1 - 1 : t2])
 
     def test_infinite_width_is_whole_window_radix(self):
         p = Permutation([5, 2, 4, 3, 1, 6])
@@ -213,15 +237,16 @@ class TestBucket:
 class TestPhase1MoveBlock:
     @staticmethod
     def convoy(vals, members, target_start, target_end, limit):
-        """The convoy steps, and ``vals`` after replaying them through the
-        keep-set oracle, which must match the convoy's own window writes."""
-        members = frozenset(members)
-        moved = list(vals)
-        steps = _convoy_steps(moved, members, target_start, target_end, limit)
+        """The convoy steps from the members' positions in ``vals``, and
+        ``vals`` after replaying them through the keep-set oracle.  The steps
+        must equal those of the window-scanning oracle ``scan_convoy``."""
+        where = [i for i, v in enumerate(vals, 1) if v in members]
+        steps = _convoy_steps(where, target_start, target_end, limit)
+        oracle = scan_convoy(list(vals), frozenset(members), target_start, target_end, limit)
+        assert steps == oracle
         work = list(vals)
         for s in steps:
             apply_keep_set(work, s)
-        assert moved == work
         return steps, work
 
     def test_members_already_in_place(self):
@@ -243,10 +268,10 @@ class TestPhase1MoveBlock:
             assert work[n - half :] == sorted(members)
 
     def test_surplus_members_end_at_the_block(self):
-        # more members than the block holds: the step ending at the block's end
-        # is the last, and the block's end-state check reports the surplus
-        steps, _ = self.convoy(range(1, 9), {1, 2, 3}, 7, 8, 4)
-        assert steps[-1].end == 8
+        # more members than the block holds: the convoy still ends at the
+        # block's end, and its guard reports the surplus
+        with pytest.raises(NotSortedWindowError):
+            _convoy_steps([1, 2, 3], 7, 8, 4)
 
     def test_preserves_both_groups_order(self):
         vals = [3, 6, 1, 8, 2, 7, 4, 5]
@@ -255,6 +280,16 @@ class TestPhase1MoveBlock:
         assert work[6:] == [6, 8]
         rest = [v for v in vals if v not in members]
         assert [v for v in work if v not in members] == rest
+
+    @pytest.mark.parametrize("where, target_start, target_end, limit", [
+        ([2, 9], 5, 6, 4),  # a member right of the block
+        ([3], 5, 6, 4),  # too few members
+        ([], 5, 6, 4),  # none
+        ([1, 2, 3, 4], 5, 8, 4),  # K members fill a window: the convoy cannot advance
+    ], ids=["right-of-block", "too-few", "none", "K-members"])
+    def test_undelivered_block_raises(self, where, target_start, target_end, limit):
+        with pytest.raises(NotSortedWindowError):
+            _convoy_steps(where, target_start, target_end, limit)
 
 
 class TestScenarioJson:
