@@ -63,6 +63,8 @@ def _cmd_step_apply(args) -> int:
 
 def _cmd_scenario(args) -> int:
     if args.algo == "radix":
+        if args.width is not None:
+            raise InvalidParameterError("radix scenarios are unbounded and take no --width")
         scenario = radix_scenario(args.perm)
     elif args.width is None:
         raise InvalidParameterError("bucket scenarios need --width")

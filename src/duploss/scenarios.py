@@ -15,6 +15,8 @@ block of width at most K), phase 1 convoys each block's values into place in
 increasing order, and phase 2 runs the radix generator inside each block.
 Each convoy stably partitions the positions up to its block's end, so phase
 1 reads a member's position as its rank among the values not yet placed.
+Both phases emit masks only, from value ranks and from run labels; only
+``steps.apply_step_to_list`` writes a step's effect.
 """
 
 from __future__ import annotations
@@ -61,27 +63,11 @@ class Scenario:
         return len(self.steps)
 
 
-def _move_right(work: list[int], lo: int, hi: int, moved: frozenset[int]) -> DupLossStep:
-    """The step on window [lo, hi] that keeps the entries not in ``moved`` in
-    the first copy and the others in the second.  The window of ``work`` is
-    rewritten in the same pass that finds the keep mask."""
-    kept, rest, mask, bit = [], [], 0, 1
-    for v in work[lo - 1 : hi]:
-        if v in moved:
-            rest.append(v)
-        else:
-            kept.append(v)
-            mask |= bit
-        bit <<= 1
-    work[lo - 1 : hi] = kept + rest
-    return DupLossStep(lo, hi - lo + 1, mask)
-
-
-def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[DupLossStep]:
-    """Rearrange the increasing arrangement of ``target``'s values, sitting in
-    ``work`` at positions start.., into ``target``; mutates ``work`` and returns
-    the steps taken.  Exactly descents.bit_length() steps."""
-    k = len(target)
+def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
+    """The steps rearranging the increasing arrangement of ``target``'s values,
+    at positions start.., into ``target``: one stable pass per run-label bit,
+    least significant first, keeps the 0-bit values first, and ``order`` is
+    the window after the passes so far.  Exactly descents.bit_length() steps."""
     label = {}
     run = 0
     prev = None
@@ -90,16 +76,20 @@ def _radix_steps(work: list[int], start: int, target: Sequence[int]) -> list[Dup
             run += 1
         label[v] = run
         prev = v
+    order = sorted(target)
     steps = []
     for bit in range(run.bit_length()):
-        # a value foreign to ``target`` is not in ``ones``, so it is kept first;
-        # the end-state check rejects it
-        ones = frozenset(v for v in target if label[v] >> bit & 1)
-        steps.append(_move_right(work, start, start + k - 1, ones))
-    if work[start - 1 : start - 1 + k] != list(target):
-        raise NotSortedWindowError(
-            f"window [{start}, {start + k - 1}] did not hold {sorted(target)} in increasing order"
-        )
+        kept, moved, mask = [], [], 0
+        for o, v in enumerate(order):
+            if label[v] >> bit & 1:
+                moved.append(v)
+            else:
+                kept.append(v)
+                mask |= 1 << o
+        steps.append(DupLossStep(start, len(order), mask))
+        order = kept + moved
+    if order != list(target):
+        raise NotSortedWindowError(f"radix passes at {start} did not build {list(target)}")
     return steps
 
 
@@ -107,8 +97,7 @@ def radix_scenario(target: Permutation) -> Scenario:
     """Scenario building ``target`` from the identity with whole-permutation
     steps, under width limit n (1 when n = 0)."""
     n = len(target)
-    steps = _radix_steps(list(range(1, n + 1)), 1, target.values)
-    return Scenario(n, max(n, 1), tuple(steps))
+    return Scenario(n, max(n, 1), tuple(_radix_steps(1, target.values)))
 
 
 def bucket_windows(n: int, width_limit: int | float) -> list[tuple[int, int]]:
@@ -178,10 +167,9 @@ def bucket_phases(
         phase1.extend(_convoy_steps(where, t1, t2, width_limit))
         for p in reversed(where):
             del unplaced[p - 1]
-    work = [v for t1, t2 in windows for v in sorted(target[t1 - 1 : t2])]
     phase2: list[DupLossStep] = []
     for t1, t2 in list(reversed(windows[1:])) + windows[:1]:
-        phase2.extend(_radix_steps(work, t1, target[t1 - 1 : t2]))
+        phase2.extend(_radix_steps(t1, target[t1 - 1 : t2]))
     return phase1, phase2
 
 

@@ -11,13 +11,13 @@ A step holds its keep set as an int bitmask, ``mask``: bit o-1 is set when
 offset o is kept.  ``DupLossStep`` accepts either that mask or a set of
 offsets, and ``keep`` reads the offsets back as a frozenset.
 
-Two functions write that effect.  ``apply_step_to_list`` applies a given
-step: it reorders the window by an ``operator.itemgetter`` made once per
-``(width, mask)`` and kept in a bounded cache.  ``apply_step`` and replay
-apply steps through it.  The bucket convoy finds its masks from value ranks
-and writes no window; the radix phase, ``scenarios._move_right``, writes each
-window in the pass that finds its mask.  Replay checks that generated steps
-build the target; the tests pin both to ``tests/helpers.apply_keep_set``.
+One function writes that effect: ``apply_step_to_list`` reorders the window
+by an ``operator.itemgetter`` made once per ``(width, mask)`` and kept in a
+bounded cache.  ``apply_step``, replay and the step neighbourhood apply
+steps through it.  Both scenario generator phases emit masks only, the
+convoy from value ranks and the radix phase from run labels.  Replay checks
+that generated steps build the target; the tests pin the kernel to
+``tests/helpers.apply_keep_set``.
 
 The step neighborhood works on inverse keys: ``state_key(perm)`` is the
 inverse permutation as ``bytes`` (byte v-1 holds the 0-based position of
@@ -32,7 +32,8 @@ that once per effect, splits each result back into keys with a cached
 closed under reversal, so ``reverse_complements`` (rc: reverse positions
 and complement values, one reversed join, translate and split per layer)
 maps a neighbourhood onto the neighbourhood of the rc states.
-``successors`` converts a ``Permutation`` to its key and back.
+``successors`` converts a ``Permutation`` to its key and back.  Sizes and
+widths with over ``_MAX_EFFECT_STEPS`` (window, mask) pairs raise ``BudgetExceededError``.
 
 ``_check_width`` is the one rule for a width limit K, and every entry point
 that takes K calls it: K is an exact ``int`` of at least 2, or at least 1
@@ -179,6 +180,8 @@ def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
 # The largest size whose 0-based positions fit in a byte, as inverse keys need.
 MAX_KEY_SIZE = 256
 _BYTES = bytes(range(256))
+# The most (window, mask) pairs ``_effects`` builds; n = 10, K = 10 needs 4,052.
+_MAX_EFFECT_STEPS = 1 << 16
 
 
 def _check_key_size(n: int) -> None:
@@ -229,6 +232,9 @@ def _effects(n: int, width: int) -> tuple[bytes, ...]:
     q' = m^-1 o q: the table has ``table[m[i]] = i`` and is the identity
     elsewhere, and ``q.translate(table)`` is the successor's key.
     """
+    count = sum((n - w + 1) << w for w in range(2, min(width, n) + 1))
+    if count > _MAX_EFFECT_STEPS:
+        raise BudgetExceededError(f"{count} steps on size {n} exceed {_MAX_EFFECT_STEPS}")
     maps: dict[tuple[int, ...], None] = {}
     for lo in range(n):
         for w in range(2, min(width, n - lo) + 1):
@@ -302,7 +308,8 @@ def reverse_complements(keys: Sequence[bytes]) -> list[bytes]:
 def successors(perm: Permutation, width_limit: int | float) -> set[Permutation]:
     """All permutations reachable from ``perm`` in one step of width <= width_limit,
     deduplicated by output; ``perm`` itself is always included (no-op masks).
-    Sizes above ``MAX_KEY_SIZE`` raise ``BudgetExceededError``.
+    Sizes above ``MAX_KEY_SIZE``, and over ``_MAX_EFFECT_STEPS`` steps, raise
+    ``BudgetExceededError``.
 
     >>> from .permutation import identity
     >>> sorted(str(p) for p in successors(identity(2), 2))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from duploss import (
     DupLossStep,
+    NotSortedWindowError,
     Permutation,
     all_permutations,
     bucket_phases,
@@ -20,7 +21,6 @@ from duploss import (
     enumerate_class,
     random_permutation,
 )
-from duploss.scenarios import _move_right, _radix_steps
 from duploss.steps import _effects
 
 
@@ -64,9 +64,51 @@ def apply_keep_set(values, step):
     values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
 
 
+def move_right(work, lo, hi, moved):
+    """The step on window [lo, hi] that keeps the entries not in ``moved`` in
+    the first copy and the others in the second.  The window of ``work`` is
+    rewritten in the same pass that finds the keep mask."""
+    kept, rest, mask, bit = [], [], 0, 1
+    for v in work[lo - 1 : hi]:
+        if v in moved:
+            rest.append(v)
+        else:
+            kept.append(v)
+            mask |= bit
+        bit <<= 1
+    work[lo - 1 : hi] = kept + rest
+    return DupLossStep(lo, hi - lo + 1, mask)
+
+
+def scan_radix_steps(work, start, target):
+    """Rearrange the increasing arrangement of ``target``'s values, sitting in
+    ``work`` at positions start.., into ``target`` by one ``move_right`` per
+    run-label bit, least significant first; mutates ``work`` and returns the
+    steps.  The slow-path oracle of ``scenarios._radix_steps``, which builds
+    each mask from the labels without a working list."""
+    k = len(target)
+    label = {}
+    run = 0
+    prev = None
+    for v in target:
+        if prev is not None and v < prev:
+            run += 1
+        label[v] = run
+        prev = v
+    steps = []
+    for bit in range(run.bit_length()):
+        ones = frozenset(v for v in target if label[v] >> bit & 1)
+        steps.append(move_right(work, start, start + k - 1, ones))
+    if work[start - 1 : start - 1 + k] != list(target):
+        raise NotSortedWindowError(
+            f"window [{start}, {start + k - 1}] did not hold {sorted(target)} in increasing order"
+        )
+    return steps
+
+
 def scan_convoy(work, members, target_start, target_end, width_limit):
     """Move ``members`` rightward so they occupy target_start..target_end,
-    each step a ``_move_right`` that scans and rewrites its width-K window;
+    each step a ``move_right`` that scans and rewrites its width-K window;
     mutates ``work`` and returns the steps.  The window starts at the
     leftmost member, clamped to end at target_end, and the step whose window
     ends there is the last."""
@@ -77,7 +119,7 @@ def scan_convoy(work, members, target_start, target_end, width_limit):
             lo, hi = max(1, target_end - width_limit + 1), target_end
         else:
             lo, hi = s, s + width_limit - 1
-        step = _move_right(work, lo, hi, members)
+        step = move_right(work, lo, hi, members)
         steps.append(step)
         if hi == target_end:
             break
@@ -87,9 +129,10 @@ def scan_convoy(work, members, target_start, target_end, width_limit):
 
 def scan_bucket_phases(target, width_limit):
     """The bucket generator's two phases with phase 1 by ``scan_convoy``, and
-    phase 2 started from the list phase 1 wrote.  The slow-path oracle of
-    ``bucket_phases``, which computes phase 1 from value ranks; the blocks
-    and the radix phase are the library's own."""
+    phase 2 by ``scan_radix_steps`` started from the list phase 1 wrote.  The
+    slow-path oracle of ``bucket_phases``, which computes phase 1 from value
+    ranks and phase 2 from run labels, and writes no list; the blocks are
+    the library's own."""
     windows = bucket_windows(len(target), width_limit)
     work = list(range(1, len(target) + 1))
     phase1 = []
@@ -97,7 +140,7 @@ def scan_bucket_phases(target, width_limit):
         phase1 += scan_convoy(work, frozenset(target[t1 - 1 : t2]), t1, t2, width_limit)
     phase2 = []
     for t1, t2 in list(reversed(windows[1:])) + windows[:1]:
-        phase2 += _radix_steps(work, t1, target[t1 - 1 : t2])
+        phase2 += scan_radix_steps(work, t1, target[t1 - 1 : t2])
     return phase1, phase2
 
 

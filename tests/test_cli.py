@@ -119,6 +119,8 @@ class TestErrors:
         (["class", "basis", "--width", "3", "--steps", "1", "--max-size", "-1"],
          "InvalidParameterError"),
         (["scenario", "--algo", "bucket", "--perm", "2,1"], "InvalidParameterError"),
+        (["scenario", "--algo", "radix", "--perm", "3,1,4,2", "--width", "2"],
+         "InvalidParameterError"),
         (["class", "basis", "--width", "2", "--steps", "1"], "InvalidParameterError"),
         (["class", "basis", "--width", "3", "--steps", "2", "--theorem"],
          "InvalidParameterError"),

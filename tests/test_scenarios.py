@@ -30,7 +30,13 @@ from duploss import (
 from duploss import scenarios
 from duploss.scenarios import _convoy_steps, _radix_steps
 from duploss.steps import apply_step_to_list
-from helpers import apply_keep_set, check_bucket_phases, scan_bucket_phases, scan_convoy
+from helpers import (
+    apply_keep_set,
+    check_bucket_phases,
+    scan_bucket_phases,
+    scan_convoy,
+    scan_radix_steps,
+)
 
 
 def steps_formula(p: Permutation) -> int:
@@ -65,23 +71,24 @@ class TestRadix:
                 assert sc.step_count == steps_formula(p)
                 assert replay(sc) == p
 
-    def test_window_writes_match_the_keep_sets(self):
-        # the generator writes each window in the pass that finds its mask;
-        # replaying its steps through the keep-set oracle must agree
-        for n in range(0, 7):
+    def test_steps_match_the_window_scanning_oracle(self):
+        # the steps from run labels equal those of the window-writing radix,
+        # and replaying them through the keep-set oracle builds the target
+        for n in range(0, 8):
             for vals in itertools.permutations(range(1, n + 1)):
+                steps = _radix_steps(2, vals)
                 work = [0, *range(1, n + 1), n + 1]
-                steps = _radix_steps(work, 2, vals)
+                assert steps == scan_radix_steps(work, 2, vals)
                 replayed = [0, *range(1, n + 1), n + 1]
                 for step in steps:
                     apply_keep_set(replayed, step)
                 assert work == replayed == [0, *vals, n + 1]
 
-    @pytest.mark.parametrize("work, target", [([2, 1], (1, 2)), ([1, 2, 3, 4], (5, 4))])
-    def test_end_state_check(self, work, target):
-        # a window not holding target's values in increasing order is reported
-        with pytest.raises(NotSortedWindowError):
-            _radix_steps(work, 1, target)
+    @pytest.mark.parametrize("n", (256, 1024, 2048))
+    def test_whole_blocks_match_the_window_scanning_oracle(self, n):
+        for seed in range(3):
+            vals = random_permutation(n, seed).values
+            assert _radix_steps(1, vals) == scan_radix_steps(list(range(1, n + 1)), 1, vals)
 
 
 class TestReplay:

@@ -251,6 +251,17 @@ class TestSuccessors:
         with pytest.raises(BudgetExceededError, match="exceeds 256"):
             successors(identity(257), 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda: successors(identity(256), 32),
+        lambda: successor_values([state_key(identity(64))], 30),
+    ], ids=["successors-256-32", "successor_values-64-30"])
+    def test_refuses_effect_sets_above_the_step_budget(self, call):
+        # the (window, mask) count is checked before any effect is built
+        before = _effects.cache_info().currsize
+        with pytest.raises(BudgetExceededError, match="exceed 65536"):
+            call()
+        assert _effects.cache_info().currsize == before
+
     @given(permutations_st(min_n=1, max_n=6))
     @settings(deadline=None, max_examples=40)
     def test_monotone_in_width(self, p):
