@@ -16,7 +16,10 @@ increasing order, and phase 2 runs the radix generator inside each block.
 Each convoy stably partitions the positions up to its block's end, so phase
 1 reads a member's position as its rank among the values not yet placed.
 Both phases emit masks only, from value ranks and from run labels; only
-``steps.apply_step_to_list`` writes a step's effect.
+``steps.apply_step_to_list`` writes a step's effect.  Phase 1 builds its
+steps through the unchecked ``steps._step`` and emits each run of windows
+that reaches no new member in one comprehension; phase 2 builds them
+through the checked ``DupLossStep``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from typing import Sequence
 
 from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
 from .permutation import Permutation
-from .steps import DupLossStep, _check_width, _check_window, apply_step_to_list, step_to_json
+from .steps import (
+    DupLossStep,
+    _check_width,
+    _check_window,
+    _step,
+    apply_step_to_list,
+    step_to_json,
+)
 
 __all__ = [
     "Scenario",
@@ -123,21 +133,40 @@ def _convoy_steps(
     where: Sequence[int], target_start: int, target_end: int, width_limit: int
 ) -> list[DupLossStep]:
     """The steps moving the members at increasing positions ``where`` to
-    target_start..target_end, each group keeping its order.  Each K-wide window
-    starts at the convoy [s, s+m-1] of the m members moved so far (clamped to
-    end at target_end) and moves it and each member it reaches to its end; the
-    last ends at target_end.  Raises NotSortedWindowError unless they fill the block exactly."""
+    target_start..target_end, each group keeping its order.  Each K-wide
+    window starts at the convoy [s, s+m-1] of the m members moved so far
+    (clamped to end at target_end) and moves it and each member it reaches
+    to its end; the last ends at target_end.
+
+    A run of windows that reach no new member and end before target_end is
+    fully determined: each has mask (1 << K) - (1 << m), and s advances by
+    K - m.  With ``nxt`` the next member's position capped at target_end,
+    the run has (nxt - s - K) // (K - m) + 1 steps, emitted in one
+    comprehension.  When the members fit the block, the k - m still to come
+    lie at or before target_start + m, so no run passes target_start.  The
+    steps are built by the unchecked ``steps._step``.  Raises
+    NotSortedWindowError unless they fill the block exactly.
+    """
     k, m = len(where), 0  # where[m:] are still where they started
     s = where[0] if k else target_start
     steps: list[DupLossStep] = []
     while s < target_start and m < width_limit:  # K members would fill the window
+        gain = width_limit - m
+        nxt = min(where[m], target_end) if m < k else target_end
+        run = (nxt - s - width_limit) // gain + 1
+        if run > 0:
+            mask = (1 << width_limit) - (1 << m)
+            steps += [_step(lo, width_limit, mask) for lo in range(s, s + run * gain, gain)]
+            s += run * gain
+            if s >= target_start:
+                break
         hi = min(s + width_limit - 1, target_end)
         lo = max(1, hi - width_limit + 1)
         moved = ((1 << m) - 1) << (s - lo)
         while m < k and where[m] <= hi:
             moved |= 1 << (where[m] - lo)
             m += 1
-        steps.append(DupLossStep(lo, hi - lo + 1, ((1 << (hi - lo + 1)) - 1) ^ moved))
+        steps.append(_step(lo, hi - lo + 1, ((1 << (hi - lo + 1)) - 1) ^ moved))
         s = hi - m + 1
         if hi == target_end:
             break

@@ -9,7 +9,11 @@ sets that are a prefix {1..j} of the window are legal no-ops.
 
 A step holds its keep set as an int bitmask, ``mask``: bit o-1 is set when
 offset o is kept.  ``DupLossStep`` accepts either that mask or a set of
-offsets, and ``keep`` reads the offsets back as a frozenset.
+offsets, and ``keep`` reads the offsets back as a frozenset.  It checks
+every argument, at the edge.  ``_step(start, width, mask)`` is the trusted
+path: it sets the three slots with no check, for the bucket convoy, which
+makes almost every step at narrow K from masks it has just built.  The
+radix phase keeps the checked constructor, since it makes few steps.
 
 One function writes that effect: ``apply_step_to_list`` reorders the window
 by an ``operator.itemgetter`` made once per ``(width, mask)`` and kept in a
@@ -114,6 +118,22 @@ class DupLossStep:
 
     def __repr__(self) -> str:
         return f"DupLossStep(start={self.start}, width={self.width}, keep={self.keep!r})"
+
+
+_set_start = DupLossStep.start.__set__
+_set_width = DupLossStep.width.__set__
+_set_mask = DupLossStep.mask.__set__
+
+
+def _step(start: int, width: int, mask: int) -> DupLossStep:
+    """The trusted constructor: the step with these fields, unchecked, for
+    a generator that has built a valid (start, width, mask) itself.  It sets
+    the slots directly, so ``DupLossStep.__init__`` and its checks never run."""
+    step = object.__new__(DupLossStep)
+    _set_start(step, start)
+    _set_width(step, width)
+    _set_mask(step, mask)
+    return step
 
 
 @functools.lru_cache(maxsize=1024)

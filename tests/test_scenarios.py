@@ -214,14 +214,27 @@ class TestBucket:
             bucket_phases(reversed_identity(10), 4)
 
     def test_phases_match_the_window_scanning_oracle_exhaustive(self):
-        for n in range(0, 7):
-            for limit in range(2, 8):
+        for n in range(0, 8):
+            for limit in range(2, 9):
                 for vals in itertools.permutations(range(1, n + 1)):
                     p = Permutation(vals)
                     assert bucket_phases(p, limit) == scan_bucket_phases(p, limit)
 
     def test_phases_match_the_window_scanning_oracle_seeded(self):
         check_bucket_phases(sizes=(16, 64, 128, 256, 512), seeds=range(4))
+        # convoy runs that reach no new member dominate at narrow K and large n
+        check_bucket_phases(sizes=(1024, 2048), seeds=(0,), widths=lambda n: (8,))
+
+    def test_every_step_passes_the_public_constructor(self):
+        # the convoy builds its steps unchecked; each must be a valid step
+        cases = [(Permutation(vals), limit)
+                 for n in range(0, 8)
+                 for vals in itertools.permutations(range(1, n + 1))
+                 for limit in range(2, 9)]
+        cases.append((random_permutation(1024, 5), 8))
+        for p, limit in cases:
+            for step in itertools.chain(*bucket_phases(p, limit)):
+                assert DupLossStep(step.start, step.width, step.mask) == step
 
     def test_phase_one_leaves_every_block_increasing(self):
         # the state phase 2 starts from, replayed through the keep-set oracle
@@ -287,6 +300,47 @@ class TestPhase1MoveBlock:
         assert work[6:] == [6, 8]
         rest = [v for v in vals if v not in members]
         assert [v for v in work if v not in members] == rest
+
+    @pytest.mark.parametrize("limit, m", [(4, 1), (5, 2), (8, 3), (8, 6)])
+    @pytest.mark.parametrize("runs", [0, 1, 3])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_run_stops_at_the_next_member(self, limit, m, runs, delta):
+        # after the first step the convoy of members 1..m starts at
+        # s = K - m + 1; the next member lies runs * (K - m) + K - 1 + delta
+        # past s, so the window reaching it ends exactly there at delta = 0
+        gain = limit - m
+        s = gain + 1
+        nxt = s + runs * gain + limit - 1 + delta
+        target_start = nxt + 2 * limit
+        members = [*range(1, m + 1), nxt]
+        n = target_start + m
+        steps, work = self.convoy(range(1, n + 1), set(members), target_start, n, limit)
+        assert work[target_start - 1 :] == members
+        full = (1 << limit) - (1 << m)
+        member_less = itertools.takewhile(lambda st: (st.width, st.mask) == (limit, full), steps)
+        assert len(list(member_less)) == 1 + runs + (delta > 0)
+
+    @pytest.mark.parametrize("limit, m", [(4, 1), (5, 2), (8, 3), (8, 7)])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_run_lands_on_target_start(self, limit, m, delta):
+        # members 1..m and one member already at the block's right end; at
+        # delta = 0 the third run step puts the convoy exactly at target_start
+        gain = limit - m
+        target_start = 4 * gain + 1 + delta
+        members = [*range(1, m + 1), target_start + m]
+        n = target_start + m
+        steps, work = self.convoy(range(1, n + 1), set(members), target_start, n, limit)
+        assert work[target_start - 1 :] == members
+        if delta == 0:
+            assert [(st.start, st.width) for st in steps] == [
+                (1, limit), *((gain + 1 + j * gain, limit) for j in range(3))
+            ]
+
+    def test_window_clamped_at_position_one(self):
+        # the block ends before position K, so the one window is [1, target_end]
+        steps, work = self.convoy(range(1, 7), {1, 3}, 5, 6, 8)
+        assert [(st.start, st.width) for st in steps] == [(1, 6)]
+        assert work == [2, 4, 5, 6, 1, 3]
 
     @pytest.mark.parametrize("where, target_start, target_end, limit", [
         ([2, 9], 5, 6, 4),  # a member right of the block

@@ -23,6 +23,7 @@ from duploss.steps import (
     _CHUNK,
     _chunk_struct,
     _effects,
+    _step,
     apply_step_to_list,
     key_states,
     reverse_complements,
@@ -69,6 +70,18 @@ class TestStepConstruction:
         step = DupLossStep(3, 4, 0b0110)
         with pytest.raises(AttributeError):
             step.mask = 1
+
+    def test_trusted_constructor_builds_the_checked_step(self):
+        for width in range(1, 7):
+            for mask in range(1 << width):
+                trusted, checked = _step(2, width, mask), DupLossStep(2, width, mask)
+                assert type(trusted) is DupLossStep
+                assert trusted == checked
+                assert hash(trusted) == hash(checked)
+                assert repr(trusted) == repr(checked)
+                assert trusted.keep == checked.keep
+        with pytest.raises(AttributeError):
+            _step(3, 4, 0b0110).mask = 1
 
     def test_repr_shows_offsets(self):
         assert repr(DupLossStep(3, 4, 0b0110)) == (
