@@ -53,12 +53,18 @@ def brute_step_results(vals, start0, width):
     return results
 
 
+def mask_offsets(width, mask):
+    """The offsets 1..width a keep mask keeps, read bit by bit."""
+    return frozenset(o + 1 for o in range(width) if mask >> o & 1)
+
+
 def apply_keep_set(values, step):
-    """A step's effect read from its keep set, ``step.keep``: the window
-    becomes its entries at kept offsets, then the others, each group in its
-    original order.  The slow-path oracle of the mask kernel
-    ``apply_step_to_list``."""
-    lo, keep = step.start - 1, step.keep
+    """A step's effect read from its keep set, decoded here from
+    ``step.mask`` bit by bit: the window becomes its entries at kept offsets,
+    then the others, each group in its original order.  The slow-path
+    oracle of the mask kernel ``apply_step_to_list``, sharing none of its
+    decoding."""
+    lo, keep = step.start - 1, mask_offsets(step.width, step.mask)
     window = values[lo : lo + step.width]
     kept = [v for o, v in enumerate(window, 1) if o in keep]
     values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
@@ -219,9 +225,8 @@ def keep_set_effect_maps(n, width):
     for lo in range(n):
         for w in range(2, min(width, n - lo) + 1):
             for mask in range(1 << w):
-                keep = frozenset(o + 1 for o in range(w) if mask >> o & 1)
                 positions = list(range(n))
-                apply_keep_set(positions, DupLossStep(lo + 1, w, keep))
+                apply_keep_set(positions, DupLossStep(lo + 1, w, mask_offsets(w, mask)))
                 maps.setdefault(tuple(positions), None)
     maps.pop(tuple(range(n)), None)
     return list(maps)

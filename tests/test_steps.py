@@ -12,6 +12,7 @@ from duploss import (
     Permutation,
     WindowOutOfRangeError,
     apply_step,
+    bucket_phases,
     descent_count,
     identity,
     inversions,
@@ -23,7 +24,9 @@ from duploss.steps import (
     _CHUNK,
     _chunk_struct,
     _effects,
+    _kept_offsets,
     _step,
+    _window_order,
     apply_step_to_list,
     key_states,
     reverse_complements,
@@ -36,6 +39,7 @@ from helpers import (
     brute_successors,
     inversion_count,
     keep_set_effect_maps,
+    mask_offsets,
     per_key_successor_values,
     permutations_st,
 )
@@ -53,7 +57,7 @@ class TestStepConstruction:
     def test_offsets_and_mask_build_equal_steps(self):
         for width in range(1, 7):
             for mask in range(1 << width):
-                keep = frozenset(o + 1 for o in range(width) if mask >> o & 1)
+                keep = mask_offsets(width, mask)
                 by_offsets, by_mask = DupLossStep(2, width, keep), DupLossStep(2, width, mask)
                 assert by_offsets == by_mask
                 assert hash(by_offsets) == hash(by_mask)
@@ -108,7 +112,8 @@ class TestStepConstruction:
 
 
 class TestMaskKernel:
-    """``apply_step_to_list`` against the keep-set oracle ``apply_keep_set``."""
+    """``apply_step_to_list`` and the mask decoder behind it against the
+    keep-set oracle ``apply_keep_set``, which reads the mask bit by bit."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_step_on_seeded_size_ten_hosts(self, seed):
@@ -121,6 +126,44 @@ class TestMaskKernel:
             assert got == want, step
             assert apply_step(host, step).values == tuple(want)
             assert inversions_created(host, step) == inversion_count(want) - before, step
+
+    @staticmethod
+    def check_decoded(width, mask):
+        kept = sorted(mask_offsets(width, mask))
+        assert _kept_offsets(width, mask) == tuple(kept), (width, mask)
+        if width > 1:
+            moved = [o for o in range(1, width + 1) if o not in kept]
+            want = tuple(o - 1 for o in kept + moved)
+            assert _window_order(width, mask)(list(range(width))) == want, (width, mask)
+
+    def test_decoder_on_every_mask_of_widths_to_twelve(self):
+        for width in range(1, 13):
+            for mask in range(1 << width):
+                self.check_decoded(width, mask)
+
+    def test_decoder_on_seeded_wide_masks(self):
+        rng = random.Random(2048)
+        for width in range(13, 301):
+            top = 1 << (width - 1)
+            for mask in (0, (top << 1) - 1, 1, top, rng.getrandbits(width), rng.getrandbits(width)):
+                self.check_decoded(width, mask)
+
+    def test_kernel_on_a_wide_bucket_row(self):
+        # One n_over_log bench row: n = 2048, K = ceil(2048 / log2 2048) = 187.
+        target = random_permutation(2048, 7)
+        phase1, phase2 = bucket_phases(target, 187)
+        row = phase1 + phase2
+        got, want = list(range(1, 2049)), list(range(1, 2049))
+        for step in row:
+            apply_step_to_list(got, step)
+            apply_keep_set(want, step)
+            assert got == want, step
+        assert tuple(got) == target.values
+        wide = max(row, key=lambda step: step.width)
+        kept = mask_offsets(wide.width, wide.mask)
+        assert wide.width == 187 and 0 < len(kept) < 187
+        assert wide.keep == kept
+        assert step_to_json(wide) == {"start": wide.start, "width": 187, "keep": sorted(kept)}
 
     def test_effects_keep_their_maps_and_order(self):
         # table[m[i]] = i, identity elsewhere: read each table back to its map m
