@@ -86,13 +86,17 @@ def parse_width_policy(text: str) -> WidthPolicy:
 
 
 def random_permutation(n: int, seed: int) -> Permutation:
-    """Uniform permutation of size n, deterministic per (n, seed)."""
+    """Uniform permutation of size n, deterministic per (n, seed).  The seed
+    must be an ``int``, since ``random.Random`` also takes None (OS entropy).
+    The shuffled values are wrapped without re-checking."""
     vals = list(_values(n))
+    if type(seed) is not int:
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)
         vals[i], vals[j] = vals[j], vals[i]
-    return Permutation(vals)
+    return tuple.__new__(Permutation, vals)
 
 
 def _lower_bound(n: int, d: int, inv: int, width_limit: int) -> int:

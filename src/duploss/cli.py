@@ -15,7 +15,8 @@ The exhaustive-search size cap (default 10) has one override: the
 DUPLOSS_ENUM_CAP environment variable, an integer.
 
 Each argument is parsed once, by its argparse type: --width takes an
-integer or "inf", --keep and --sizes comma-separated integers.
+integer or "inf", --keep and --sizes comma-separated integers.  The parser
+is built once per process and reused by every call of main().
 
 Exit codes: 0 on success, 1 when a verify suite fails, 2 on a usage error
 or a library error.  A malformed number is a usage error.  A library error
@@ -26,6 +27,7 @@ single stderr line "duploss: <ErrorClass>: <message>", without a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -215,10 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: main() reuses it, build_parser() still makes a new one.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         # --perm is parsed here, so a malformed permutation raises a DupLossError
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except DupLossError as exc:
         print(f"duploss: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -19,7 +19,14 @@ Both phases emit masks only, from value ranks and from run labels; only
 ``steps.apply_step_to_list`` writes a step's effect.  Phase 1 builds its
 steps through the unchecked ``steps._step`` and emits each run of windows
 that reaches no new member in one comprehension; phase 2 builds them
-through the checked ``DupLossStep``.
+through the checked ``DupLossStep``.  Phase 2 sorts on byte columns: one
+byte per position holds 8 bits of its run label, and each bit's pass reads
+its keep mask and its stable partition from ``bytes.translate``, so only
+the labelling and one column per 8 bits run Python code per value.
+
+Each generator takes a ``Permutation`` as is and checks any other target
+through the ``Permutation`` constructor, so a repeated or missing value is
+a typed error.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
@@ -73,11 +81,32 @@ class Scenario:
         return len(self.steps)
 
 
+# For label bit b of a byte digit d: _KEEP_DIGIT[b] maps d to b"1" when bit b is
+# clear (the value is kept first), else b"0"; _WITH_BIT[b] and _WITHOUT_BIT[b]
+# hold the digits with bit b set and clear.
+_KEEP_DIGIT = [(b"1" * (1 << b) + b"0" * (1 << b)) * (128 >> b) for b in range(8)]
+_WITH_BIT = [
+    bytes(compress(range(256), (b"\0" * (1 << b) + b"\1" * (1 << b)) * (128 >> b)))
+    for b in range(8)
+]
+_WITHOUT_BIT = [bytes(range(256)).translate(None, digits) for digits in _WITH_BIT]
+
+
 def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
     """The steps rearranging the increasing arrangement of ``target``'s values,
     at positions start.., into ``target``: one stable pass per run-label bit,
-    least significant first, keeps the 0-bit values first, and ``order`` is
-    the window after the passes so far.  Exactly descents.bit_length() steps."""
+    least significant first, keeps the 0-bit values first.  Exactly
+    descents.bit_length() steps.
+
+    The passes run on byte columns, 8 label bits at a time.  ``lab`` holds
+    the labels in window order, and ``col`` one byte per position: the
+    current group's digit of that position's label.  A pass's keep mask is
+    ``col`` translated to binary digits, and the pass itself is the stable
+    partition of ``col`` by two byte deletions, so no Python code runs per
+    value inside a group.  Between groups ``lab`` is stably sorted by the
+    finished group's digit, which is where its passes leave it.  The
+    target's labels do not decrease, so the passes end with ``col`` sorted.
+    """
     label = {}
     run = 0
     prev = None
@@ -86,26 +115,32 @@ def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
             run += 1
         label[v] = run
         prev = v
-    order = sorted(target)
+    k, bits = len(target), run.bit_length()
+    lab = list(map(label.__getitem__, sorted(target)))
     steps = []
-    for bit in range(run.bit_length()):
-        kept, moved, mask = [], [], 0
-        for o, v in enumerate(order):
-            if label[v] >> bit & 1:
-                moved.append(v)
-            else:
-                kept.append(v)
-                mask |= 1 << o
-        steps.append(DupLossStep(start, len(order), mask))
-        order = kept + moved
-    if order != list(target):
+    col = b""
+    for lo in range(0, bits, 8):
+        if lo:
+            lab.sort(key=lambda x: x >> lo - 8 & 255)
+        col = bytes([x >> lo & 255 for x in lab])
+        for b in range(min(8, bits - lo)):
+            steps.append(DupLossStep(start, k, int(col.translate(_KEEP_DIGIT[b])[::-1], 2)))
+            col = col.translate(None, _WITH_BIT[b]) + col.translate(None, _WITHOUT_BIT[b])
+    if col != bytes(sorted(col)):
         raise NotSortedWindowError(f"radix passes at {start} did not build {list(target)}")
     return steps
+
+
+def _as_permutation(target: Sequence[int]) -> Permutation:
+    """``target`` itself when it is a ``Permutation``, else the checked
+    ``Permutation`` of its entries, which raises a typed DupLossError."""
+    return target if isinstance(target, Permutation) else Permutation(target)
 
 
 def radix_scenario(target: Permutation) -> Scenario:
     """Scenario building ``target`` from the identity with whole-permutation
     steps, under width limit n (1 when n = 0)."""
+    target = _as_permutation(target)
     n = len(target)
     return Scenario(n, max(n, 1), tuple(_radix_steps(1, target.values)))
 
@@ -186,6 +221,7 @@ def bucket_phases(
     Phase 2 starts from every block increasing and radix-rearranges the blocks
     right to left, the leftmost remainder block last.
     """
+    target = _as_permutation(target)
     n = len(target)
     windows = bucket_windows(n, width_limit)
     unplaced = list(range(1, n + 1))
@@ -208,12 +244,14 @@ def bucket_scenario(target: Permutation, width_limit: int | float) -> Scenario:
     For n <= K this degenerates to a single radix call on the whole
     permutation; widths never exceed the limit.
     """
+    target = _as_permutation(target)
     phase1, phase2 = bucket_phases(target, width_limit)
     return Scenario(len(target), width_limit, tuple(phase1 + phase2))
 
 
 def replay(scenario: Scenario) -> Permutation:
-    """Fold the steps over identity(n), validating width and window bounds."""
+    """Fold the steps over identity(n), validating width and window bounds.
+    Steps permute entries, so the result is wrapped without re-checking it."""
     work = list(range(1, scenario.n + 1))
     for step in scenario.steps:
         if step.width > scenario.width_limit:
@@ -222,7 +260,7 @@ def replay(scenario: Scenario) -> Permutation:
             )
         _check_window(step, scenario.n)
         apply_step_to_list(work, step)
-    return Permutation(work)
+    return tuple.__new__(Permutation, work)
 
 
 def scenario_to_json(scenario: Scenario) -> dict:

@@ -31,6 +31,13 @@ class TestRandomPermutation:
         assert random_permutation(20, 7) == random_permutation(20, 7)
         assert random_permutation(20, 7) != random_permutation(20, 8)
 
+    def test_results_are_exact_permutations(self):
+        for n in (0, 1, 2, 9, 100):
+            for seed in range(20):
+                p = random_permutation(n, seed)
+                assert type(p) is Permutation
+                assert p == Permutation(list(p))
+
     def test_small_uniformity(self):
         # all 6 permutations of size 3 appear with roughly equal frequency
         counts = {}

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from duploss import Scenario, bench, verify
+from duploss import Scenario, bench, cli, verify
 from duploss.classes import minimal_forbidden_basis
 from duploss.cli import main
 
@@ -163,6 +163,42 @@ class TestErrors:
         monkeypatch.setenv("DUPLOSS_ENUM_CAP", "abc")
         argv = ["class", "enumerate", "--width", "2", "--steps", "1", "--size", "3"]
         self.test_library_error_is_one_stderr_line(capsys, argv, "InvalidParameterError")
+
+
+class TestCachedParser:
+    """main() parses with one parser per process, so a call after other
+    subcommands and after a usage error prints what it prints alone."""
+
+    SEQUENCE = [
+        ["scenario", "--algo", "radix", "--perm", "3,1,4,2", "--emit", "json"],
+        ["bench", "--policy", "8", "--sizes", "16", "--samples", "2", "--seed", "5"],
+        ["oracle", "min-steps", "--perm", "2,1", "--width", "2.5"],
+        ["class", "member", "--width", "3", "--steps", "1", "--perm", "3,1,2"],
+    ]
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_serves_every_call(self, capsys):
+        alone = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            alone.append(self._run(capsys, argv))
+        cli._parser.cache_clear()
+        together = [self._run(capsys, argv) for argv in self.SEQUENCE]
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 0, 2, 0]
+        assert cli._parser.cache_info().misses == 1
+
+    def test_parser_is_cached_and_build_parser_is_not(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestVerify:

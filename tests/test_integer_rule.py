@@ -183,6 +183,12 @@ SITES = {
         "seed must be an integer, got {!r}",
         NUMBERS,
     ),
+    "random_permutation seed": (
+        lambda x: random_permutation(8, x),
+        InvalidParameterError,
+        "seed must be an integer, got {!r}",
+        NUMBERS + (None, [1], "7"),
+    ),
     "run_benchmark sizes": (
         lambda x: run_benchmark(POLICY, x, 1, 0),
         InvalidParameterError,

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duploss import (
+    DuplicateValueError,
+    DupLossError,
     DupLossStep,
     InvalidWidthError,
     NotSortedWindowError,
+    OutOfRangeError,
     Permutation,
     Scenario,
     WidthExceededError,
@@ -90,8 +93,49 @@ class TestRadix:
             vals = random_permutation(n, seed).values
             assert _radix_steps(1, vals) == scan_radix_steps(list(range(1, n + 1)), 1, vals)
 
+    @pytest.mark.parametrize("n", (0, 1, 256, 257, 512, 513))
+    def test_digit_group_edges_match_the_window_scanning_oracle(self, n):
+        # n - 1 descents: 255 and 256 straddle one byte digit of the run
+        # labels, 511 and 512 the ninth and tenth label bits
+        vals = reversed_identity(n).values
+        assert _radix_steps(3, vals) == scan_radix_steps([0, 0, *range(1, n + 1)], 3, vals)
+
+
+class TestTargetsAtTheEdge:
+    """A target that is not a ``Permutation`` is checked by its constructor,
+    so a repeated or missing value is a typed error, not a wrong scenario."""
+
+    @pytest.mark.parametrize("make", [
+        radix_scenario,
+        lambda t: bucket_scenario(t, 2),
+        lambda t: bucket_phases(t, 2),
+    ], ids=["radix", "bucket", "phases"])
+    @pytest.mark.parametrize("target, error", [
+        ([2, 2], DuplicateValueError), ([1, 3], OutOfRangeError), ((0,), OutOfRangeError),
+    ])
+    def test_invalid_target_is_refused(self, make, target, error):
+        with pytest.raises(error) as caught:
+            make(target)
+        assert isinstance(caught.value, DupLossError)
+
+    def test_valid_sequence_gives_the_permutation_s_scenario(self):
+        for vals in ([2, 1], (3, 1, 4, 2), [5, 2, 4, 3, 1, 6]):
+            p = Permutation(vals)
+            assert radix_scenario(vals) == radix_scenario(p)
+            assert bucket_scenario(vals, 3) == bucket_scenario(p, 3)
+            assert bucket_phases(list(vals), 2) == bucket_phases(p, 2)
+
 
 class TestReplay:
+    def test_result_is_an_exact_permutation(self):
+        for n in (0, 1, 7, 64):
+            for seed in range(10):
+                p = random_permutation(n, seed)
+                for sc in (bucket_scenario(p, 4), radix_scenario(p)):
+                    final = replay(sc)
+                    assert type(final) is Permutation
+                    assert final == Permutation(list(final)) == p
+
     def test_empty_scenario(self):
         assert replay(Scenario(5, 2, ())) == identity(5)
 
