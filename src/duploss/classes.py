@@ -13,19 +13,12 @@ Exhaustive operations breadth-first-search the successor relation from the
 identity.  Every one of them reaches the memo through ``_search(n, K)``,
 which rejects a negative size, checks the size cap and keys one search by
 (n, min(K, n)), so an infinite width and any width of at least n share the
-search at width n.
-The memo is keyed by each state's inverse key (``steps.state_key``, the
-inverse permutation as ``bytes``).  Reverse-complement (rc) preserves
-distance, so every layer is closed under rc, and a layer's successors come
-from one call of ``steps.successor_values`` on the states x with
-x <= rc(x) only; the new states and their rc images make the next layer,
-sorted by key.  Each layer also keeps one ``Permutation`` per state, built
-once from its key when the state is found, so a class at budget p is the
-union of the first p + 1 layers, grown from the last class returned.  The
-cap (default 10) refuses sizes beyond desk scale, S_11 and up; the
-DUPLOSS_ENUM_CAP environment variable, an integer, is the one override.
-Sizes above 256, whose positions no longer fit in a byte, are refused
-whatever the cap says.
+search at width n, a ``_LayeredSearch`` on inverse keys.  A class at budget
+p is the union of its first p + 1 layers, grown from the last class
+returned.  The cap (default 10) refuses sizes beyond desk scale, S_11 and
+up; the DUPLOSS_ENUM_CAP environment variable, an integer, is the one
+override.  Sizes above 256, whose positions no longer fit in a byte, are
+refused whatever the cap says.
 """
 
 from __future__ import annotations
@@ -44,8 +37,10 @@ from .errors import (
 )
 from .permutation import Permutation, contains_pattern, delete
 from .steps import (
+    _check_effect_count,
     _check_key_size,
     _check_width,
+    _moving_both_ends,
     key_states,
     reverse_complements,
     state_key,
@@ -222,21 +217,17 @@ def one_step_blockers(width_limit: int) -> frozenset[Permutation]:
     """The one-descent permutations of size K+1 that no single width-K step
     can produce: those not starting with 1 and not ending with K+1.
 
-    There are exactly 2^(K-1) of them: the first increasing run is
-    {K+1} union S for any S subset of {2..K}.
+    They are the width-(K+1) step effects on identity(K+1), from
+    ``steps._moving_both_ends``: the first run is {K+1} union S for each
+    subset S of {2..K}, so there are 2^(K-1) of them, and above 2^14
+    (K >= 16) they raise ``BudgetExceededError`` before any is built.
     """
     if width_limit == math.inf:
         raise InfiniteWidthError("blocker set is defined for finite width limits only")
     _check_width(width_limit)
     k = width_limit
-    out = []
-    rest = range(2, k + 1)
-    for r in range(k):
-        for subset in itertools.combinations(rest, r):
-            first_run = sorted(subset) + [k + 1]
-            second_run = sorted(set(range(1, k + 1)) - set(subset))
-            out.append(Permutation(first_run + second_run))
-    return frozenset(out)
+    _check_effect_count(1 << (k - 1), f"blockers of width {k}")
+    return frozenset(map(Permutation, _moving_both_ends(list(range(1, k + 2)), k + 1)))
 
 
 def one_step_basis(width_limit: int) -> PatternBasis:

@@ -26,7 +26,7 @@ the labelling and one column per 8 bits run Python code per value.
 
 Each generator takes a ``Permutation`` as is and checks any other target
 through the ``Permutation`` constructor, so a repeated or missing value is
-a typed error.
+a typed error, and so is a target that is not iterable.
 """
 
 from __future__ import annotations
@@ -133,8 +133,14 @@ def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
 
 def _as_permutation(target: Sequence[int]) -> Permutation:
     """``target`` itself when it is a ``Permutation``, else the checked
-    ``Permutation`` of its entries, which raises a typed DupLossError."""
-    return target if isinstance(target, Permutation) else Permutation(target)
+    ``Permutation`` of its entries, which raises a typed DupLossError; a
+    target that is not iterable raises ``InvalidParameterError``."""
+    if isinstance(target, Permutation):
+        return target
+    try:
+        return Permutation(target)
+    except TypeError:
+        raise InvalidParameterError(f"target {target!r} is not a sequence of values") from None
 
 
 def radix_scenario(target: Permutation) -> Scenario:

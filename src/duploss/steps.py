@@ -16,32 +16,24 @@ makes almost every step at narrow K from masks it has just built.  The
 radix phase keeps the checked constructor, since it makes few steps.
 
 One function writes that effect: ``apply_step_to_list`` reorders the window
-by an ``operator.itemgetter`` made once per ``(width, mask)`` and kept in a
-bounded cache.  That plan, like ``keep``, is decoded from the mask's binary
-digits in C (``_mask_bits``: one byte per offset), not bit by bit.  At
-K = n / log n most masks are new, so most plans are built once, about 860 in
-a ``duploss bench --policy n_over_log`` campaign up to n = 2048: that is why
-the decode matters, and why the cache stays bounded.  ``apply_step``, replay
-and the step neighbourhood apply steps through it.  Both scenario generator
-phases emit masks only, the convoy from value ranks and the radix phase from
-run labels.  Replay checks that generated steps build the target; the tests
-pin the kernel to ``tests/helpers.apply_keep_set``.
+by an ``operator.itemgetter`` made once per ``(width, mask)``, decoded in C
+and kept in a bounded cache (``_window_order``).  ``apply_step``, replay and
+the step neighbourhood apply steps through it, and both scenario generator
+phases emit masks only.  The tests pin it to ``tests/helpers.apply_keep_set``.
 
 The step neighborhood works on inverse keys: ``state_key(perm)`` is the
 inverse permutation as ``bytes`` (byte v-1 holds the 0-based position of
-value v), so sizes up to ``MAX_KEY_SIZE`` = 256 fit.  A step applies a fixed
-position map m, and on the inverse it relabels positions by m^-1, so each
-distinct step effect, the position map ``apply_step_to_list`` makes of
-``list(range(n))``, is compiled once per (size, width) to a 256-byte
-``bytes.translate`` table.  ``successor_values`` is the layer kernel: it
-joins a whole breadth-first layer of keys into one ``bytes``, translates
-that once per effect, splits each result back into keys with a cached
-``struct.Struct`` and returns the neighbourhood as a set.  The effects are
-closed under reversal, so ``reverse_complements`` (rc: reverse positions
-and complement values, one reversed join, translate and split per layer)
-maps a neighbourhood onto the neighbourhood of the rc states.
-``successors`` converts a ``Permutation`` to its key and back.  Sizes and
-widths with over ``_MAX_EFFECT_STEPS`` (window, mask) pairs raise ``BudgetExceededError``.
+value v), so sizes up to ``MAX_KEY_SIZE`` = 256 fit.  ``_effects`` builds
+each step effect once per (size, width), from the steps that move both ends
+of their window, as a 256-byte ``bytes.translate`` table, and refuses over
+2^14 of them with ``BudgetExceededError``.  ``successor_values`` is the
+layer kernel: it joins a whole breadth-first layer of keys into one
+``bytes``, translates that once per effect, splits each result back into
+keys with a cached ``struct.Struct`` and returns the neighbourhood as a set.
+The effects are closed under reversal, so ``reverse_complements`` (rc:
+reverse positions and complement values, one reversed join, translate and
+split per layer) maps a neighbourhood onto the neighbourhood of the rc
+states.  ``successors`` converts a ``Permutation`` to its key and back.
 
 ``_check_width`` is the one rule for a width limit K, and every entry point
 that takes K calls it: K is an exact ``int`` of at least 2, or at least 1
@@ -56,7 +48,7 @@ import itertools
 import math
 import operator
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -230,8 +222,8 @@ def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
 # The largest size whose 0-based positions fit in a byte, as inverse keys need.
 MAX_KEY_SIZE = 256
 _BYTES = bytes(range(256))
-# The most (window, mask) pairs ``_effects`` builds; n = 10, K = 10 needs 4,052.
-_MAX_EFFECT_STEPS = 1 << 16
+# The most step effects ``_effects`` builds; n = 14, K = 14 has 16,369.
+_MAX_EFFECTS = 1 << 14
 
 
 def _check_key_size(n: int) -> None:
@@ -267,32 +259,48 @@ def key_states(keys: Iterable[bytes], n: int) -> list[Permutation]:
     return [make(v + 1 for v in maketrans(key, _BYTES)) for key in keys]
 
 
+def _moving_both_ends(values: list[int], width: int) -> Iterator[list[int]]:
+    """``values`` after each width-``width`` step that moves both ends of
+    its window: one that keeps the last offset and not the first.  Each
+    gives its own arrangement, and any other step that moves anything does
+    what one of these does on a narrower window, so over all widths these
+    are the step effects, each once."""
+    # Windows innermost, so each mask's plan is made once, not once per window.
+    for mask in range(1 << (width - 1), 1 << width, 2):
+        for lo in range(1, len(values) - width + 2):
+            out = values.copy()
+            apply_step_to_list(out, _step(lo, width, mask))
+            yield out
+
+
+def _effect_count(n: int, width: int) -> int:
+    """E(n, K), the step effects of width <= K on size n, identity aside:
+    2^(w-2) on each of the n-w+1 windows of width w.
+
+    >>> _effect_count(8, 3)
+    19
+    >>> all(_effect_count(n, n) == 2**n - n - 1 for n in range(12))
+    True
+    """
+    return sum((n - w + 1) << (w - 2) for w in range(2, min(width, n) + 1))
+
+
+def _check_effect_count(count: int, what: str) -> None:
+    """The one budget on built step effects."""
+    if count > _MAX_EFFECTS:
+        raise BudgetExceededError(f"{count} {what} exceed {_MAX_EFFECTS}")
+
+
 @functools.lru_cache(maxsize=64)
 def _effects(n: int, width: int) -> tuple[bytes, ...]:
-    """The distinct effects of all steps of width <= ``width`` on size-n
-    permutations, each compiled to a 256-byte ``bytes.translate`` table.
-
-    Each step's position map m (output position i takes the entry at input
-    position m[i]) is ``apply_step_to_list`` applied to ``list(range(n))``;
-    the identity map, made by the no-op keep sets (the prefixes {1..j}), is
-    dropped.  Steps on different windows often share an effect, which is kept
-    once, in order of first appearance: at n=8, width 3, the 31 non-no-op
-    steps have 19 distinct effects.  A step takes a permutation pi to
-    pi' = pi o m, so on the inverse key q it relabels positions,
-    q' = m^-1 o q: the table has ``table[m[i]] = i`` and is the identity
-    elsewhere, and ``q.translate(table)`` is the successor's key.
-    """
-    count = sum((n - w + 1) << w for w in range(2, min(width, n) + 1))
-    if count > _MAX_EFFECT_STEPS:
-        raise BudgetExceededError(f"{count} steps on size {n} exceed {_MAX_EFFECT_STEPS}")
-    maps: dict[tuple[int, ...], None] = {}
-    for lo in range(n):
-        for w in range(2, min(width, n - lo) + 1):
-            for mask in range(1 << w):
-                positions = list(range(n))
-                apply_step_to_list(positions, DupLossStep(lo + 1, w, mask))
-                maps.setdefault(tuple(positions), None)
-    maps.pop(tuple(range(n)), None)
+    """The E(n, width) step effects of width <= ``width`` on size n, from
+    ``_moving_both_ends``, as 256-byte ``bytes.translate`` tables.  A step
+    takes pi to pi o m, where output position i takes the entry at input
+    position m[i], so it relabels the inverse key q to m^-1 o q: the table
+    has ``table[m[i]] = i``, the identity elsewhere."""
+    _check_effect_count(_effect_count(n, width), f"step effects on size {n}")
+    widths = range(2, min(width, n) + 1)
+    maps = itertools.chain.from_iterable(_moving_both_ends(list(range(n)), w) for w in widths)
     return tuple(bytes.maketrans(bytes(m), _BYTES[:n]) for m in maps)
 
 
@@ -358,8 +366,8 @@ def reverse_complements(keys: Sequence[bytes]) -> list[bytes]:
 def successors(perm: Permutation, width_limit: int | float) -> set[Permutation]:
     """All permutations reachable from ``perm`` in one step of width <= width_limit,
     deduplicated by output; ``perm`` itself is always included (no-op masks).
-    Sizes above ``MAX_KEY_SIZE``, and over ``_MAX_EFFECT_STEPS`` steps, raise
-    ``BudgetExceededError``.
+    Sizes above ``MAX_KEY_SIZE``, and sizes and widths with over 2^14 step
+    effects, raise ``BudgetExceededError``.
 
     >>> from .permutation import identity
     >>> sorted(str(p) for p in successors(identity(2), 2))

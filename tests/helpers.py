@@ -218,18 +218,18 @@ def scan_minimal_forbidden_basis(spec, max_size):
 
 
 def keep_set_effect_maps(n, width):
-    """The position maps of ``steps._effects(n, width)``, in its order, built
-    from offset sets through ``apply_keep_set``: every window of width 2..width,
-    masks in increasing order, first appearances kept, identity dropped."""
-    maps = {}
+    """The set of position maps of every step of width 2..width on size n,
+    identity aside, built from offset sets through ``apply_keep_set``: the
+    oracle of ``steps._effects(n, width)``, which builds each map once."""
+    maps = set()
     for lo in range(n):
         for w in range(2, min(width, n - lo) + 1):
             for mask in range(1 << w):
                 positions = list(range(n))
                 apply_keep_set(positions, DupLossStep(lo + 1, w, mask_offsets(w, mask)))
-                maps.setdefault(tuple(positions), None)
-    maps.pop(tuple(range(n)), None)
-    return list(maps)
+                maps.add(tuple(positions))
+    maps.discard(tuple(range(n)))
+    return maps
 
 
 def per_key_successor_values(keys, width_limit):

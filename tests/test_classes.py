@@ -29,7 +29,7 @@ from duploss import (
 )
 from duploss import classes, verify
 from duploss.classes import _extensions, clear_search_cache
-from duploss.steps import reverse_complements, state_key
+from duploss.steps import _effect_count, reverse_complements, state_key
 from helpers import (
     backtrack_contains,
     brute_distances,
@@ -73,6 +73,13 @@ class TestBlockers:
             one_step_blockers(math.inf)
         with pytest.raises(InvalidWidthError):
             one_step_blockers(1)
+
+    def test_refuses_blocker_sets_above_the_effect_budget(self, monkeypatch):
+        assert len(one_step_blockers(15)) == 1 << 14
+        monkeypatch.setattr(classes, "_moving_both_ends", None)  # nothing is built
+        for k, count in ((16, 32768), (30, 1 << 29)):
+            with pytest.raises(BudgetExceededError, match=f"{count} blockers of width {k} exceed 16384"):
+                one_step_blockers(k)
 
     @pytest.mark.parametrize("k", (2, 3, 4))
     def test_blockers_are_the_unreachable_one_descent_patterns(self, k):
@@ -122,6 +129,12 @@ class TestEnumerate:
 
     def test_budget_zero(self):
         assert enumerate_class(ClassSpec(5, 0), 4) == {identity(4)}
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_one_step_class_is_the_identity_and_each_effect(self, k):
+        # one class member per step effect: 1 + E(n, K)
+        for n in range(0, 9):
+            assert len(enumerate_class(ClassSpec(k, 1), n)) == 1 + _effect_count(n, k), n
 
     def test_infinite_width_equals_full(self):
         for n in range(1, 6):

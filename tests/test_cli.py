@@ -126,6 +126,8 @@ class TestErrors:
          "InvalidParameterError"),
         (["class", "basis", "--width", "3", "--steps", "1", "--theorem", "--max-size", "2"],
          "InvalidParameterError"),
+        (["class", "basis", "--width", "30", "--steps", "1", "--theorem"],
+         "BudgetExceededError"),
     ])
     def test_library_error_is_one_stderr_line(self, capsys, argv, error):
         assert main(argv) == 2

@@ -11,6 +11,7 @@ from duploss import (
     DuplicateValueError,
     DupLossError,
     DupLossStep,
+    InvalidParameterError,
     InvalidWidthError,
     NotSortedWindowError,
     OutOfRangeError,
@@ -103,7 +104,8 @@ class TestRadix:
 
 class TestTargetsAtTheEdge:
     """A target that is not a ``Permutation`` is checked by its constructor,
-    so a repeated or missing value is a typed error, not a wrong scenario."""
+    so a repeated or missing value, or a target that is not iterable, is a
+    typed error, not a wrong scenario."""
 
     @pytest.mark.parametrize("make", [
         radix_scenario,
@@ -112,6 +114,7 @@ class TestTargetsAtTheEdge:
     ], ids=["radix", "bucket", "phases"])
     @pytest.mark.parametrize("target, error", [
         ([2, 2], DuplicateValueError), ([1, 3], OutOfRangeError), ((0,), OutOfRangeError),
+        (5, InvalidParameterError), (None, InvalidParameterError),
     ])
     def test_invalid_target_is_refused(self, make, target, error):
         with pytest.raises(error) as caught:

@@ -23,6 +23,7 @@ from duploss import (
 from duploss.steps import (
     _CHUNK,
     _chunk_struct,
+    _effect_count,
     _effects,
     _kept_offsets,
     _step,
@@ -165,15 +166,17 @@ class TestMaskKernel:
         assert wide.keep == kept
         assert step_to_json(wide) == {"start": wide.start, "width": 187, "keep": sorted(kept)}
 
-    def test_effects_keep_their_maps_and_order(self):
+    def test_effects_are_the_keep_set_maps_once_each(self):
         # table[m[i]] = i, identity elsewhere: read each table back to its map m
         positions = bytes(range(256))
         for n in range(0, 9):
             for width in range(1, n + 2):
-                got = []
-                for table in _effects(n, width):
+                tables = _effects(n, width)
+                got = set()
+                for table in tables:
                     assert len(table) == 256 and table[n:] == positions[n:], (n, width)
-                    got.append(tuple(bytes.maketrans(table[:n], positions[:n])[:n]))
+                    got.add(tuple(bytes.maketrans(table[:n], positions[:n])[:n]))
+                assert len(set(tables)) == len(tables) == _effect_count(n, width), (n, width)
                 assert got == keep_set_effect_maps(n, width), (n, width)
 
 
@@ -312,11 +315,23 @@ class TestSuccessors:
         lambda: successor_values([state_key(identity(64))], 30),
     ], ids=["successors-256-32", "successor_values-64-30"])
     def test_refuses_effect_sets_above_the_step_budget(self, call):
-        # the (window, mask) count is checked before any effect is built
+        # the effect count is checked before any effect is built
         before = _effects.cache_info().currsize
-        with pytest.raises(BudgetExceededError, match="exceed 65536"):
+        with pytest.raises(BudgetExceededError, match="step effects on size .* exceed 16384"):
             call()
         assert _effects.cache_info().currsize == before
+
+    @pytest.mark.parametrize("n, built, refused", [
+        (15, 13, 14), (16, 12, 13), (64, 9, 10), (256, 7, 8),
+    ])
+    def test_step_budget_boundary(self, n, built, refused):
+        # for each size, the widest width within 2^14 effects and the next one
+        assert len(_effects(n, built)) == _effect_count(n, built) <= 1 << 14
+        with pytest.raises(BudgetExceededError, match=f"{_effect_count(n, refused)} step effects"):
+            _effects(n, refused)
+
+    def test_widest_effect_set_within_the_budget(self):
+        assert len(_effects(14, 14)) == _effect_count(14, 14) == 16_369
 
     @given(permutations_st(min_n=1, max_n=6))
     @settings(deadline=None, max_examples=40)
