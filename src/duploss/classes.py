@@ -23,6 +23,7 @@ refused whatever the cap says.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -35,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     InvalidWidthError,
 )
-from .permutation import Permutation, contains_pattern, delete
+from .permutation import Permutation, contains_pattern, delete, descent_count
 from .steps import (
     _check_effect_count,
     _check_key_size,
@@ -247,11 +248,20 @@ def one_step_basis(width_limit: int) -> PatternBasis:
 
 
 def is_antichain(patterns: frozenset[Permutation]) -> bool:
-    """No element of ``patterns`` is a (strict or equal) pattern of another."""
+    """No element of ``patterns`` is a (strict or equal) pattern of another.
+
+    Each pattern is tested only against strictly larger ones, and not
+    against one with fewer descents: a subsequence of entries spread over r
+    ascending runs has at most r runs, so a pattern never has more descents
+    than a permutation containing it.
+    """
     items = sorted(patterns, key=len)
-    for i, small in enumerate(items):
-        for big in items[i + 1 :]:
-            if len(small) < len(big) and contains_pattern(big, small):
+    sizes = [len(p) for p in items]
+    falls = [descent_count(p) for p in items]
+    for small, size, fall in zip(items, sizes, falls):
+        larger = bisect.bisect_right(sizes, size)
+        for big, big_fall in zip(items[larger:], falls[larger:]):
+            if fall <= big_fall and contains_pattern(big, small):
                 return False
     return True
 

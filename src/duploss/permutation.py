@@ -14,13 +14,20 @@ Conventions used throughout the package:
 All operations are pure; ``Permutation`` objects are immutable and hashable.
 Functions that index entries in a loop first take ``tuple(perm)``: CPython
 specializes indexing for exact tuples only.
+
+Pattern containment reads, per pattern, a plan of which earlier entries
+bound each entry from below and above (``_pattern_plan``).  Patterns of up
+to 16 entries are compiled from their plan into a matcher with one nested
+loop per entry, kept in a bounded cache (``_matcher``); longer ones, past
+CPython's limit of 20 nested blocks in one function, are searched by a
+backtracker over the same plan (``_backtrack``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateValueError,
@@ -211,31 +218,52 @@ def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
-def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
-    """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
+# A matcher nests one loop per pattern entry and CPython refuses more than 20
+# nested blocks in one function, so patterns longer than this, a margin below
+# that limit, keep ``_backtrack``.
+_MAX_COMPILED = 16
 
-    A partial match is order-isomorphic to the pattern's prefix exactly when
-    each chosen entry lies between the entries matched to its left floor and
-    left ceiling in the pattern (see ``_pattern_plan``, computed once per
-    pattern and kept in a bounded cache).  So a candidate costs two
-    comparisons, whatever the depth.  The search backtracks over host
-    positions and stops at the first full match.
 
-    >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([1, 3, 4, 2]))
-    True
-    >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([3, 2, 1]))
-    False
+def _matcher_source(plan: tuple[tuple[int, int], ...]) -> str:
+    """The source of ``match(h)``, True iff the tuple ``h`` contains the
+    pattern planned by ``plan``: one loop per depth d over the host indices
+    that leave room for the depths after it, each testing its value v_d
+    against the values matched at its floor and ceiling where it has them.
+
+    >>> print(_matcher_source(_pattern_plan(Permutation([2, 1]))), end="")
+    def match(h):
+        n = len(h)
+        for i0 in range(n - 1):
+            v0 = h[i0]
+            for i1 in range(i0 + 1, n):
+                v1 = h[i1]
+                if v1 < v0:
+                    return True
+        return False
     """
-    hv = tuple(host)
-    n, k = len(hv), len(pattern)
+    k = len(plan)
+    lines, indent, start = ["def match(h):", "    n = len(h)"], "    ", ""
+    for d, (floor, ceiling) in enumerate(plan):
+        stop = f"n - {k - 1 - d}" if d < k - 1 else "n"
+        lines.append(f"{indent}for i{d} in range({start}{stop}):")
+        indent += "    "
+        lines.append(f"{indent}v{d} = h[i{d}]")
+        if d:
+            low = f"v{floor} < " if floor >= 0 else ""
+            high = f" < v{ceiling}" if ceiling >= 0 else ""
+            lines.append(f"{indent}if {low}v{d}{high}:")
+            indent += "    "
+        start = f"i{d} + 1, "
+    lines += [f"{indent}return True", "    return False"]
+    return "\n".join(lines) + "\n"
+
+
+def _backtrack(plan: tuple[tuple[int, int], ...], hv: tuple[int, ...]) -> bool:
+    """``match`` for patterns too long to compile: the same search, with the
+    matched values and host indices kept in lists per depth."""
+    n, k = len(hv), len(plan)
     if k > n:
         return False
-    if k == 0:
-        return True
-    try:
-        plan = _pattern_plan(pattern)
-    except TypeError:  # an unhashable sequence, such as a list, misses the cache
-        plan = _pattern_plan(tuple(pattern))
     top = n + 1
     vals = [0] * k  # host value matched at each depth
     pos = [0] * k  # host index matched at each depth
@@ -260,6 +288,45 @@ def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
             if d < 0:
                 return False
             i = pos[d] + 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _matcher(pattern: Permutation) -> Callable[[tuple[int, ...]], bool]:
+    """The containment test of ``pattern`` on a host tuple: ``match``
+    compiled from ``_matcher_source``, or ``_backtrack`` on the plan past
+    ``_MAX_COMPILED`` entries.  Compiling takes tens to hundreds of
+    microseconds, growing with the size, once per pattern while it stays in
+    this bounded cache; a matcher holds a few kilobytes.
+    """
+    plan = _pattern_plan(pattern)
+    if len(plan) > _MAX_COMPILED:
+        return functools.partial(_backtrack, plan)
+    name = f"<matcher of {','.join(map(str, pattern))}>"
+    namespace: dict = {}
+    exec(compile(_matcher_source(plan), name, "exec"), namespace)
+    return namespace["match"]
+
+
+def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
+    """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
+
+    A partial match is order-isomorphic to the pattern's prefix exactly when
+    each chosen entry lies between the entries matched to its left floor and
+    left ceiling in the pattern (see ``_pattern_plan``).  So a candidate
+    costs at most two comparisons, whatever the depth.  Each pattern's plan
+    is compiled once into a matcher with one nested loop per entry (see
+    ``_matcher``) that stops at the first full match.
+
+    >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([1, 3, 4, 2]))
+    True
+    >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([3, 2, 1]))
+    False
+    """
+    try:
+        match = _matcher(pattern)
+    except TypeError:  # an unhashable sequence, such as a list, misses the cache
+        match = _matcher(tuple(pattern))
+    return match(tuple(host))
 
 
 def delete(perm: Permutation, position: int) -> Permutation:

@@ -25,11 +25,12 @@ The step neighborhood works on inverse keys: ``state_key(perm)`` is the
 inverse permutation as ``bytes`` (byte v-1 holds the 0-based position of
 value v), so sizes up to ``MAX_KEY_SIZE`` = 256 fit.  ``_effects`` builds
 each step effect once per (size, width), from the steps that move both ends
-of their window, as a 256-byte ``bytes.translate`` table, and refuses over
-2^14 of them with ``BudgetExceededError``.  ``successor_values`` is the
-layer kernel: it joins a whole breadth-first layer of keys into one
-``bytes``, translates that once per effect, splits each result back into
-keys with a cached ``struct.Struct`` and returns the neighbourhood as a set.
+of their window, as a 256-byte ``bytes.translate`` table, refuses over
+2^14 of them with ``BudgetExceededError`` and holds at most 2^16 tables
+between calls.  ``successor_values`` is the layer kernel: it joins a whole
+breadth-first layer of keys into one ``bytes``, translates that once per
+effect, splits each result back into keys with a cached ``struct.Struct``
+and returns the neighbourhood as a set.
 The effects are closed under reversal, so ``reverse_complements`` (rc:
 reverse positions and complement values, one reversed join, translate and
 split per layer) maps a neighbourhood onto the neighbourhood of the rc
@@ -291,17 +292,32 @@ def _check_effect_count(count: int, what: str) -> None:
         raise BudgetExceededError(f"{count} {what} exceed {_MAX_EFFECTS}")
 
 
-@functools.lru_cache(maxsize=64)
+# ``_effects`` keeps its results, least recently used first, while they hold
+# at most this many tables in all (an empty result counting as one): four
+# sets at the budget, where one near it, (256, 7), is about 4.6 MB.
+_MAX_HELD_EFFECTS = 1 << 16
+_held_effects: dict[tuple[int, int], tuple[bytes, ...]] = {}
+
+
 def _effects(n: int, width: int) -> tuple[bytes, ...]:
     """The E(n, width) step effects of width <= ``width`` on size n, from
     ``_moving_both_ends``, as 256-byte ``bytes.translate`` tables.  A step
     takes pi to pi o m, where output position i takes the entry at input
     position m[i], so it relabels the inverse key q to m^-1 o q: the table
-    has ``table[m[i]] = i``, the identity elsewhere."""
-    _check_effect_count(_effect_count(n, width), f"step effects on size {n}")
-    widths = range(2, min(width, n) + 1)
-    maps = itertools.chain.from_iterable(_moving_both_ends(list(range(n)), w) for w in widths)
-    return tuple(bytes.maketrans(bytes(m), _BYTES[:n]) for m in maps)
+    has ``table[m[i]] = i``, the identity elsewhere.  Results are held in
+    ``_held_effects`` within ``_MAX_HELD_EFFECTS`` tables."""
+    key = (n, width)
+    tables = _held_effects.pop(key, None)
+    if tables is None:
+        _check_effect_count(_effect_count(n, width), f"step effects on size {n}")
+        widths = range(2, min(width, n) + 1)
+        maps = itertools.chain.from_iterable(_moving_both_ends(list(range(n)), w) for w in widths)
+        tables = tuple(bytes.maketrans(bytes(m), _BYTES[:n]) for m in maps)
+        held = sum(max(len(t), 1) for t in _held_effects.values()) + max(len(tables), 1)
+        while held > _MAX_HELD_EFFECTS:
+            held -= max(len(_held_effects.pop(next(iter(_held_effects)))), 1)
+    _held_effects[key] = tables
+    return tables
 
 
 # Keys are split from a joined layer this many at a time, by one cached

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,22 @@ class TestOneStepBasis:
     def test_is_antichain_helper(self):
         assert is_antichain(frozenset({P(3, 2, 1), P(2, 1, 4, 3)}))
         assert not is_antichain(frozenset({P(2, 3, 1), P(3, 1, 4, 2)}))
+
+    def test_is_antichain_matches_every_pair_tested(self):
+        # random sets from S_1..S_6, each entry of a size drawn uniformly,
+        # against the definition with every ordered pair tested
+        rng = random.Random(2010)
+        answers = []
+        for _ in range(400):
+            sizes = [rng.randint(1, 6) for _ in range(rng.randrange(2, 7))]
+            patterns = frozenset(P(*rng.sample(range(1, n + 1), n)) for n in sizes)
+            want = not any(a != b and backtrack_contains(b, a) for a in patterns for b in patterns)
+            assert is_antichain(patterns) == want, patterns
+            answers.append(want)
+        assert 20 < sum(answers) < 380
+
+    def test_widest_theorem_basis_is_antichain(self):
+        assert one_step_basis(15).antichain
 
 
 class TestEnumerate:

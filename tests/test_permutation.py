@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -21,7 +22,7 @@ from duploss import (
     random_permutation,
     reversed_identity,
 )
-from duploss.permutation import _pattern_plan
+from duploss.permutation import _MAX_COMPILED, _matcher, _pattern_plan
 from helpers import (
     backtrack_contains,
     brute_occurrence_indices,
@@ -245,12 +246,39 @@ class TestPatterns:
             for patt in patterns:
                 assert contains_pattern(host, patt) == backtrack_contains(host, patt), (host, patt)
 
+    @pytest.mark.parametrize("k", [15, 16, 17, 20, 25])
+    def test_long_patterns_match_backtracking_oracle(self, k):
+        """Patterns on both sides of the compile cap, in hosts of size k - 1
+        up to 30: one a pattern of the host by construction, one drawn at
+        random, and the host's own pattern with two adjacent values swapped."""
+        rng = random.Random(k)
+        answers = []
+        for n in (k - 1, k, k + 1, k + 3, 30):
+            for seed in range(4):
+                host = random_permutation(n, 100 * k + seed)
+                patterns = [Permutation(rng.sample(range(1, k + 1), k))]
+                if k <= n:
+                    own = rank_pattern([host[i] for i in sorted(rng.sample(range(n), k))])
+                    patterns.append(Permutation(own))
+                    patterns.append(Permutation([{1: 2, 2: 1}.get(v, v) for v in own]))
+                for patt in patterns:
+                    got = contains_pattern(host, patt)
+                    assert got == backtrack_contains(host, patt), (host, patt)
+                    answers.append(got)
+        assert True in answers and False in answers
+        # sizes past the cap are searched by the plan-driven backtracker
+        assert isinstance(_matcher(patterns[0]), functools.partial) == (k > _MAX_COMPILED)
+
     def test_list_pattern_answers_as_its_tuple(self):
         for vals in itertools.permutations(range(1, 6)):
             host = Permutation(vals)
             for k in range(4):
                 for patt in itertools.permutations(range(1, k + 1)):
                     assert contains_pattern(host, list(patt)) == contains_pattern(host, patt)
+        # past the compile cap
+        host = random_permutation(24, 17)
+        for patt in (rank_pattern(host[3:20]), tuple(range(17, 0, -1))):
+            assert contains_pattern(host, list(patt)) == contains_pattern(host, patt)
 
     def test_longer_pattern_is_never_contained(self):
         assert not contains_pattern(identity(2), identity(3))
@@ -258,6 +286,9 @@ class TestPatterns:
 
     def test_plan_cache_is_bounded(self):
         assert _pattern_plan.cache_info().maxsize is not None
+
+    def test_matcher_cache_is_bounded(self):
+        assert _matcher.cache_info().maxsize is not None
 
     def test_transitivity_spot_check(self):
         rng = random.Random(7)

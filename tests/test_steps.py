@@ -22,9 +22,11 @@ from duploss import (
 )
 from duploss.steps import (
     _CHUNK,
+    _MAX_HELD_EFFECTS,
     _chunk_struct,
     _effect_count,
     _effects,
+    _held_effects,
     _kept_offsets,
     _step,
     _window_order,
@@ -289,8 +291,20 @@ class TestSuccessors:
         assert successor_values(keys, 3) == set(per_key_successor_values(keys, 3))
 
     def test_caches_are_bounded(self):
-        for cache in (_effects, _chunk_struct):
-            assert cache.cache_info().maxsize is not None
+        assert _chunk_struct.cache_info().maxsize is not None
+        assert _MAX_HELD_EFFECTS == 1 << 16
+
+    def test_held_effects_stay_within_the_table_bound(self):
+        # 75,342 tables in five near-budget sets: the last four fit, and the
+        # first set goes once the fifth is built, with everything held before it
+        sizes = [(15, 13), (16, 12), (64, 9), (256, 7), (14, 14)]
+        for n, width in sizes:
+            tables = _effects(n, width)
+            assert sum(len(t) for t in _held_effects.values()) <= _MAX_HELD_EFFECTS
+            assert _effects(n, width) is tables
+        assert list(_held_effects) == sizes[1:]
+        _effects(16, 12)  # a hit makes it the most recently used
+        assert list(_held_effects) == [*sizes[2:], (16, 12)]
 
     def test_inverse_keys_round_trip(self):
         for n in (0, 1, 5, 255, 256):
@@ -316,10 +330,10 @@ class TestSuccessors:
     ], ids=["successors-256-32", "successor_values-64-30"])
     def test_refuses_effect_sets_above_the_step_budget(self, call):
         # the effect count is checked before any effect is built
-        before = _effects.cache_info().currsize
+        before = list(_held_effects)
         with pytest.raises(BudgetExceededError, match="step effects on size .* exceed 16384"):
             call()
-        assert _effects.cache_info().currsize == before
+        assert list(_held_effects) == before
 
     @pytest.mark.parametrize("n, built, refused", [
         (15, 13, 14), (16, 12, 13), (64, 9, 10), (256, 7, 8),
