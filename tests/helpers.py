@@ -7,6 +7,7 @@ code that shares none of their implementation.
 
 import itertools
 import math
+import random
 
 from hypothesis import strategies as st
 
@@ -325,6 +326,37 @@ def run_partition_by_scan(vals):
 def inversion_count(vals):
     n = len(vals)
     return sum(1 for i in range(n) for j in range(i + 1, n) if vals[i] > vals[j])
+
+
+def fenwick_inversions(vals):
+    """Inversions of distinct values in 1..len(vals) in O(n log n): each entry
+    adds the number of larger entries before it, read off a Fenwick tree over
+    the values seen so far.  The oracle of ``permutation._count_inversions``
+    at sizes too large for the all-pairs ``inversion_count``."""
+    n = len(vals)
+    tree = [0] * (n + 1)
+    count = 0
+    for seen, v in enumerate(vals):
+        i, not_larger = v, 0
+        while i:
+            not_larger += tree[i]
+            i &= i - 1
+        count += seen - not_larger
+        while v <= n:
+            tree[v] += 1
+            v += v & -v
+    return count
+
+
+def swap_loop_permutation(n, seed):
+    """Fisher-Yates by one ``randrange`` swap per position, from the last
+    down.  The oracle of ``random_permutation``, which shuffles instead."""
+    vals = list(range(1, n + 1))
+    rng = random.Random(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        vals[i], vals[j] = vals[j], vals[i]
+    return Permutation(vals)
 
 
 @st.composite

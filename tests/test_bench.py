@@ -3,6 +3,7 @@ import math
 import pytest
 
 from duploss import (
+    InvalidParameterError,
     InvalidWidthError,
     Permutation,
     WidthPolicy,
@@ -20,7 +21,14 @@ from duploss import (
     rows_to_json,
     run_benchmark,
 )
-from duploss.bench import CSV_SCHEMA, CSV_VERSION_COMMENT, REVERSED_IDENTITY_SEED
+from duploss import bench
+from duploss.bench import CSV_SCHEMA, CSV_VERSION_COMMENT, REVERSED_IDENTITY_SEED, _derive_seed
+from helpers import swap_loop_permutation
+
+# Seeds a campaign actually draws with, beside the small and extreme ones.
+SWAP_LOOP_SEEDS = (0, 1, 7, 2**63 - 1) + tuple(
+    _derive_seed(*args) for args in ((9, 256, 0), (9, 2048, 1), (2701, 1024, 0))
+)
 
 
 class TestRandomPermutation:
@@ -30,6 +38,20 @@ class TestRandomPermutation:
     def test_deterministic(self):
         assert random_permutation(20, 7) == random_permutation(20, 7)
         assert random_permutation(20, 7) != random_permutation(20, 8)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 2048])
+    def test_equals_the_swap_loop(self, n):
+        for seed in SWAP_LOOP_SEEDS:
+            assert random_permutation(n, seed) == swap_loop_permutation(n, seed), seed
+
+    def test_seed_is_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(bench.random, "Random", no_draw)
+        for seed in (1.0, None, "7"):
+            with pytest.raises(InvalidParameterError, match="^seed must be an integer"):
+                random_permutation(8, seed)
 
     def test_results_are_exact_permutations(self):
         for n in (0, 1, 2, 9, 100):

@@ -27,6 +27,7 @@ from helpers import (
     backtrack_contains,
     brute_occurrence_indices,
     descent_count_by_scan,
+    fenwick_inversions,
     inversion_count,
     permutations_st,
     rank_pattern,
@@ -99,6 +100,12 @@ class TestStatistics:
     def test_reversed_identity_descents(self):
         assert descents(Permutation([4, 3, 2, 1])) == {1, 2, 3}
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 4097])
+    def test_reversed_identity_is_an_exact_permutation(self, n):
+        p = reversed_identity(n)
+        assert type(p) is Permutation and p == Permutation(list(p))
+        assert p == tuple(range(n, 0, -1))
+
     def test_inversions_goldens(self):
         assert inversions(identity(5)) == 0
         assert inversions(Permutation([2, 1])) == 1
@@ -117,7 +124,7 @@ class TestStatistics:
 
 
 class TestInversionsAgainstAllPairs:
-    """The Fenwick-tree count against the all-pairs count it replaced."""
+    """The bitset count against the all-pairs count."""
 
     def test_every_permutation_through_s8(self):
         for n in range(9):
@@ -135,15 +142,38 @@ class TestInversionsAgainstAllPairs:
         assert inversions(p) == inversion_count(p.values) == 2048 * 2047 // 2
 
 
+class TestInversionsAtBlockEdges:
+    """The bitset count, in blocks of 2^12 values, against the Fenwick-tree
+    oracle at sizes on either side of one and two block boundaries."""
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8191, 8192, 8193, 20000])
+    def test_identity_reversed_and_seeded(self, n):
+        assert inversions(identity(n)) == fenwick_inversions(identity(n)) == 0
+        assert inversions(reversed_identity(n)) == n * (n - 1) // 2
+        assert fenwick_inversions(reversed_identity(n)) == n * (n - 1) // 2
+        for seed in range(3):
+            p = random_permutation(n, seed)
+            assert inversions(p) == fenwick_inversions(p)
+
+    def test_one_block_pair_in_each_order(self):
+        # The only inversions are across blocks, or only inside one.
+        for n in (4096, 8193):
+            cross = Permutation([*range(4096, n + 1), *range(1, 4096)])
+            assert inversions(cross) == fenwick_inversions(cross) == (n - 4095) * 4095
+            inner = Permutation([*range(4095, 0, -1), *range(4096, n + 1)])
+            assert inversions(inner) == fenwick_inversions(inner) == 4095 * 4094 // 2
+
+
 class TestRunScannersAgainstLoops:
-    """``descent_count`` and ``ascending_run_partition``, both read off
-    ``descents``, against one-pass loops over adjacent entries."""
+    """``descent_count``, a sum over adjacent pairs, and
+    ``ascending_run_partition``, cut at ``descents``, against one-pass loops
+    over adjacent entries."""
 
     def test_every_permutation_through_s8(self):
         for n in range(9):
             for vals in itertools.permutations(range(1, n + 1)):
                 p = Permutation(vals)
-                assert descent_count(p) == descent_count_by_scan(vals)
+                assert descent_count(p) == len(descents(p)) == descent_count_by_scan(vals)
                 assert ascending_run_partition(p) == run_partition_by_scan(vals)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -151,6 +181,12 @@ class TestRunScannersAgainstLoops:
         p = random_permutation(1024, seed)
         assert descent_count(p) == descent_count_by_scan(p.values)
         assert ascending_run_partition(p) == run_partition_by_scan(p.values)
+
+    @pytest.mark.parametrize("n", [2, 9, 100, 2048])
+    def test_descent_count_is_the_size_of_descents_seeded(self, n):
+        for seed in range(3):
+            p = random_permutation(n, seed)
+            assert descent_count(p) == len(descents(p)) == descent_count_by_scan(p.values)
 
     def test_every_pair_of_descents_at_n24(self):
         # A set yields small ints in increasing order only while they are below

@@ -410,19 +410,16 @@ class TestInversionsCreated:
         assert best == k * k // 4
 
     def test_bound_holds_for_all_hosts(self):
-        # every width-k step on every size-5 host creates at most floor(k^2/4),
-        # and the window-only count equals the whole-permutation difference
-        for vals in itertools.permutations(range(1, 6)):
-            p = Permutation(vals)
-            for start in range(1, 6):
-                for width in range(1, 7 - start):
-                    for mask in range(1 << width):
-                        keep = frozenset(o + 1 for o in range(width) if (mask >> o) & 1)
-                        step = DupLossStep(start, width, keep)
-                        created = inversions_created(p, step)
-                        assert created <= width * width // 4
-                        after = apply_step(p, step).values
-                        assert created == inversion_count(after) - inversion_count(vals)
+        # every width-k step on every host of S_1..S_6 creates at most
+        # floor(k^2/4), and the window-only count equals the whole-permutation
+        # difference
+        for n in range(1, 7):
+            for vals in itertools.permutations(range(1, n + 1)):
+                p, before = Permutation(vals), inversion_count(vals)
+                for step in all_steps(n, 6):
+                    created = inversions_created(p, step)
+                    assert created <= step.width * step.width // 4
+                    assert created == inversion_count(apply_step(p, step).values) - before
 
     def test_matches_whole_permutation_difference_at_n64(self):
         rng = random.Random(64)
