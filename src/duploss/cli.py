@@ -18,15 +18,19 @@ Each argument is parsed once, by its argparse type: --width takes an
 integer or "inf", --keep and --sizes comma-separated integers.  The parser
 is built once per process and reused by every call of main().
 
-Exit codes: 0 on success, 1 when a verify suite fails, 2 on a usage error
-or a library error.  A malformed number is a usage error.  A library error
-(a DupLossError, such as a repeated value in --perm) is reported as the
-single stderr line "duploss: <ErrorClass>: <message>", without a traceback.
+Exit codes: 0 on success, 1 when a verify suite fails, 2 on a usage error,
+a library error or a bench output file that cannot be opened.  A malformed
+number is a usage error.  A library error (a DupLossError, such as a
+repeated value in --perm) and an OSError from opening the files of bench
+--csv and --json, which are opened before the campaign runs, are reported
+as the single stderr line "duploss: <ErrorClass>: <message>", without a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -48,6 +52,12 @@ from .permutation import parse_one_line
 from .scenarios import bucket_scenario, radix_scenario, replay, scenario_to_json
 from .steps import DupLossStep, apply_step
 from .verify import SUITES, run_suite
+
+
+def _report(exc: Exception) -> int:
+    """Print ``exc`` as the one stderr line of a failed command; exit code 2."""
+    print(f"duploss: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 def _parse_width(text: str) -> int | float:
@@ -126,16 +136,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = run_benchmark(parse_width_policy(args.policy), args.sizes, args.samples, args.seed)
-    csv_text = rows_to_csv(rows, include_timings=args.timings)
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
-    if args.json:
-        with open(args.json, "w") as f:
-            f.write(rows_to_json(rows, include_timings=args.timings))
+    policy = parse_width_policy(args.policy)
+    with contextlib.ExitStack() as files:
+        # Open both outputs before the campaign, so a path that cannot be
+        # written fails at once and not after the work is done.
+        try:
+            csv_out = files.enter_context(open(args.csv, "w")) if args.csv else sys.stdout
+            json_out = files.enter_context(open(args.json, "w")) if args.json else None
+        except OSError as exc:
+            return _report(exc)
+        rows = run_benchmark(policy, args.sizes, args.samples, args.seed)
+        csv_out.write(rows_to_csv(rows, include_timings=args.timings))
+        if json_out:
+            json_out.write(rows_to_json(rows, include_timings=args.timings))
     return 0
 
 
@@ -227,8 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         return args.func(args)
     except DupLossError as exc:
-        print(f"duploss: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ increasing order, and phase 2 runs the radix generator inside each block.
 Each convoy stably partitions the positions up to its block's end, so phase
 1 reads a member's position as its rank among the values not yet placed.
 Both phases emit masks only, from value ranks and from run labels; only
-``steps.apply_step_to_list`` writes a step's effect.  Phase 1 builds its
+``steps.apply_step_to_list`` (one step) and ``steps.apply_steps_to_list`` (a
+transcript) write the effect of steps.  Phase 1 builds its
 steps through the unchecked ``steps._step`` and emits each run of windows
 that reaches no new member in one comprehension; phase 2 builds them
 through the checked ``DupLossStep``.  Phase 2 sorts on byte columns: one
@@ -27,6 +28,12 @@ the labelling and one column per 8 bits run Python code per value.
 Each generator takes a ``Permutation`` as is and checks any other target
 through the ``Permutation`` constructor, so a repeated or missing value is
 a typed error, and so is a target that is not iterable.
+
+``replay`` checks every step's width and window first, then applies the
+whole transcript by ``steps.apply_steps_to_list``, which writes each run of
+convoy steps that reach no new member as one slice rotation.  ``Scenario``
+stores its steps as a tuple and refuses any entry that is not a
+``DupLossStep``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, attrgetter
 from typing import Sequence
 
 from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
@@ -44,7 +52,7 @@ from .steps import (
     _check_width,
     _check_window,
     _step,
-    apply_step_to_list,
+    apply_steps_to_list,
     step_to_json,
 )
 
@@ -64,7 +72,8 @@ class Scenario:
     """An ordered step list replayable from identity(n) under a width limit.
 
     ``width_limit`` may be ``math.inf`` for the unbounded (whole-permutation)
-    model; every step must respect it for the scenario to replay.
+    model; every step must respect it for the scenario to replay.  The steps
+    may be given as any iterable of ``DupLossStep`` and are stored as a tuple.
     """
 
     n: int
@@ -75,6 +84,14 @@ class Scenario:
         if type(self.n) is not int or self.n < 0:
             raise InvalidParameterError(f"size must be an integer >= 0, got {self.n!r}")
         _check_width(self.width_limit, least=1)
+        try:
+            steps = tuple(self.steps)
+        except TypeError:
+            raise InvalidParameterError(f"steps {self.steps!r} are not iterable") from None
+        if not all(map(isinstance, steps, repeat(DupLossStep))):
+            bad = next(s for s in steps if not isinstance(s, DupLossStep))
+            raise InvalidParameterError(f"step {bad!r} is not a DupLossStep")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def step_count(self) -> int:
@@ -255,17 +272,31 @@ def bucket_scenario(target: Permutation, width_limit: int | float) -> Scenario:
     return Scenario(len(target), width_limit, tuple(phase1 + phase2))
 
 
+_start, _width = attrgetter("start"), attrgetter("width")
+
+
+def _check_steps(scenario: Scenario) -> None:
+    """Each step's width against the limit, then its window against n;
+    raises for the first offending step.  The maxima of the widths and of
+    the window ends are taken in C first, and only a scenario that fails
+    one of them is walked step by step to find that step."""
+    n, steps, limit = scenario.n, scenario.steps, scenario.width_limit
+    widths = list(map(_width, steps))
+    ends = map(add, map(_start, steps), widths)  # one past each window's end
+    if max(widths, default=0) <= limit and max(ends, default=0) <= n + 1:
+        return
+    for step in steps:
+        if step.width > limit:
+            raise WidthExceededError(f"step width {step.width} exceeds limit {limit}")
+        _check_window(step, n)
+
+
 def replay(scenario: Scenario) -> Permutation:
     """Fold the steps over identity(n), validating width and window bounds.
     Steps permute entries, so the result is wrapped without re-checking it."""
+    _check_steps(scenario)
     work = list(range(1, scenario.n + 1))
-    for step in scenario.steps:
-        if step.width > scenario.width_limit:
-            raise WidthExceededError(
-                f"step width {step.width} exceeds limit {scenario.width_limit}"
-            )
-        _check_window(step, scenario.n)
-        apply_step_to_list(work, step)
+    apply_steps_to_list(work, scenario.steps)
     return tuple.__new__(Permutation, work)
 
 

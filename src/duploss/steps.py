@@ -15,11 +15,16 @@ path: it sets the three slots with no check, for the bucket convoy, which
 makes almost every step at narrow K from masks it has just built.  The
 radix phase keeps the checked constructor, since it makes few steps.
 
-One function writes that effect: ``apply_step_to_list`` reorders the window
+``apply_step_to_list`` writes one step's effect: it reorders the window
 by an ``operator.itemgetter`` made once per ``(width, mask)``, decoded in C
-and kept in a bounded cache (``_window_order``).  ``apply_step``, replay and
-the step neighbourhood apply steps through it, and both scenario generator
-phases emit masks only.  The tests pin it to ``tests/helpers.apply_keep_set``.
+and kept in a bounded cache (``_window_order``).  ``apply_step`` and the step
+neighbourhood apply steps through it, and both scenario generator phases
+emit masks only.  The tests pin it to ``tests/helpers.apply_keep_set``.
+``apply_steps_to_list`` writes the effect of a sequence of steps, for
+replay: a run of rotation steps (each keeps a suffix of its window, all of
+one width and mask, each starting where the one before left its moved
+entries), which the bucket convoy emits at narrow K, is one slice rotation,
+and every other step goes through ``apply_step_to_list``.
 
 The step neighborhood works on inverse keys: ``state_key(perm)`` is the
 inverse permutation as ``bytes`` (byte v-1 holds the 0-based position of
@@ -205,6 +210,46 @@ def apply_step_to_list(values: list[int], step: DupLossStep) -> None:
     if width > 1:
         lo = step.start - 1
         values[lo : lo + width] = _window_order(width, step.mask)(values[lo : lo + width])
+
+
+def apply_steps_to_list(values: list[int], steps: Iterable[DupLossStep]) -> None:
+    """Apply ``steps`` in order, in place; callers guarantee each window fits.
+
+    A rotation step keeps the suffix {m+1..w} of its window, 1 <= m < w: its
+    mask is (1 << w) - (1 << m), and it moves the window's first m entries
+    to the window's end.  Rotation steps with one width and one mask whose
+    starts advance by w - m carry the same m entries, so a run of them is
+    one left rotation by m of the span they cover, written as one slice
+    assignment.  Every other step goes through ``apply_step_to_list``.
+
+    >>> values = list(range(1, 9))
+    >>> apply_steps_to_list(values, [DupLossStep(1, 3, 0b110), DupLossStep(3, 3, 0b110)])
+    >>> values
+    [2, 3, 4, 5, 1, 6, 7, 8]
+    """
+    # The open run: left rotation by m of values[lo:...], whose next step
+    # would start at nxt.  Starts are at least 1, so nxt = 0 matches none.
+    nxt = lo = m = gain = width = mask = 0
+    for step in steps:
+        if step.start == nxt and step.mask == mask and step.width == width:
+            nxt += gain
+            continue
+        if nxt:
+            hi = nxt - gain - 1 + width
+            values[lo:hi] = values[lo + m : hi] + values[lo : lo + m]
+        width, mask = step.width, step.mask
+        low = mask & -mask
+        if low > 1 and mask + low == 1 << width:
+            m = low.bit_length() - 1
+            gain = width - m
+            lo = step.start - 1
+            nxt = step.start + gain
+        else:
+            nxt = 0
+            apply_step_to_list(values, step)
+    if nxt:
+        hi = nxt - gain - 1 + width
+        values[lo:hi] = values[lo + m : hi] + values[lo : lo + m]
 
 
 def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:

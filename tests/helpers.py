@@ -15,6 +15,7 @@ from duploss import (
     DupLossStep,
     NotSortedWindowError,
     Permutation,
+    WidthExceededError,
     all_permutations,
     bucket_phases,
     bucket_windows,
@@ -22,7 +23,7 @@ from duploss import (
     enumerate_class,
     random_permutation,
 )
-from duploss.steps import _effects
+from duploss.steps import _check_window, _effects, apply_step_to_list
 
 
 def rank_pattern(vals):
@@ -69,6 +70,23 @@ def apply_keep_set(values, step):
     window = values[lo : lo + step.width]
     kept = [v for o, v in enumerate(window, 1) if o in keep]
     values[lo : lo + step.width] = kept + [v for o, v in enumerate(window, 1) if o not in keep]
+
+
+def replay_step_by_step(scenario):
+    """Fold the steps over identity(n) one ``apply_step_to_list`` call per
+    step, checking each step's width against the limit, then its window
+    against n, just before applying it.  The slow-path oracle of
+    ``scenarios.replay``, which checks every step first and applies each
+    run of rotation steps as one slice rotation."""
+    work = list(range(1, scenario.n + 1))
+    for step in scenario.steps:
+        if step.width > scenario.width_limit:
+            raise WidthExceededError(
+                f"step width {step.width} exceeds limit {scenario.width_limit}"
+            )
+        _check_window(step, scenario.n)
+        apply_step_to_list(work, step)
+    return Permutation(work)
 
 
 def move_right(work, lo, hi, moved):

@@ -264,6 +264,19 @@ class TestBench:
         assert len(payload) == 3
 
 
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_output_path_that_cannot_be_opened(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / ("r.csv" if flag == "--csv" else "r.json")
+        code = main(["bench", "--policy", "8", "--sizes", "8", flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("duploss: FileNotFoundError: ") and str(path) in lines[0]
+
+
 class TestGoldenStdout:
     """sha256 of each command's stdout.  Together the commands run the step
     kernel, both generators, the class search, the bench writer and the four

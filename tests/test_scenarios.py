@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from duploss.steps import apply_step_to_list
 from helpers import (
     apply_keep_set,
     check_bucket_phases,
+    replay_step_by_step,
     scan_bucket_phases,
     scan_convoy,
     scan_radix_steps,
@@ -159,6 +162,131 @@ class TestReplay:
     def test_infinite_width_limit(self):
         sc = Scenario(4, math.inf, (DupLossStep(1, 4, frozenset({3, 4})),))
         assert replay(sc) == Permutation([3, 4, 1, 2])
+
+
+def rotations(width, m, starts):
+    """Rotation steps of one width: each keeps the suffix {m+1..width} of
+    its window, so it moves the window's first m entries to its end."""
+    return [DupLossStep(s, width, (1 << width) - (1 << m)) for s in starts]
+
+
+def outcome(replayer, scenario):
+    """The replayed permutation, or the type and message of the error."""
+    try:
+        return replayer(scenario)
+    except DupLossError as exc:
+        return type(exc), str(exc)
+
+
+# Hand-built step lists on size 20 around runs of rotation steps, by name.
+RUN_CASES = {
+    "new mask": rotations(5, 2, [1, 4, 7]) + rotations(5, 3, [10, 12]),
+    "new width": rotations(5, 2, [1, 4]) + [DupLossStep(7, 6, 0b11100)],
+    "new stride": rotations(5, 2, [1, 4]) + rotations(5, 2, [8, 11]),
+    "two adjacent runs": rotations(4, 1, [1, 4, 7]) + rotations(4, 2, [10, 12, 14]),
+    "run restarting left": rotations(5, 2, [7, 10]) + rotations(5, 2, [1, 4]),
+    "last window ends at n": rotations(5, 2, range(1, 17, 3)),
+    "stride one": rotations(6, 5, range(1, 16)),
+    "width-1 steps": [DupLossStep(2, 1, 0)] + rotations(3, 1, [1, 3])
+    + [DupLossStep(6, 1, 1)] + rotations(3, 1, [7, 9]) + [DupLossStep(20, 1, 0)],
+    "masks 0 and full": rotations(5, 2, [1, 4]) + [DupLossStep(7, 5, 0)]
+    + rotations(5, 2, [7]) + [DupLossStep(10, 5, 31)] + rotations(5, 2, [10, 13]),
+    "one-step runs": rotations(5, 2, [3]) + rotations(4, 3, [9]) + rotations(2, 1, [19]),
+    "non-rotation between": rotations(4, 1, [1, 4]) + [DupLossStep(7, 4, 0b0110)]
+    + rotations(4, 1, [7, 10]),
+    "whole size": rotations(20, 7, [1, 1]) + rotations(20, 19, [1]),
+}
+
+
+class TestReplayRuns:
+    """``replay`` applies each run of rotation steps as one slice rotation;
+    ``replay_step_by_step`` applies and checks one step at a time."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 64, 256, 512])
+    def test_bucket_scenarios_match_step_by_step(self, n):
+        widths = [2, 3, 5, 8, 16] + ([math.ceil(n / math.log2(n))] if n > 1 else [])
+        targets = [random_permutation(n, seed) for seed in (3, 11)] + [reversed_identity(n)]
+        for limit in dict.fromkeys(widths):
+            for target in targets:
+                sc = bucket_scenario(target, limit)
+                assert replay(sc) == replay_step_by_step(sc) == target, (n, limit)
+
+    def test_radix_scenarios_match_step_by_step(self):
+        for n in (0, 1, 2, 17, 64, 300):
+            for seed in range(5):
+                sc = radix_scenario(random_permutation(n, seed))
+                assert replay(sc) == replay_step_by_step(sc), (n, seed)
+
+    @pytest.mark.parametrize("name", RUN_CASES)
+    def test_hand_built_runs(self, name):
+        sc = Scenario(20, math.inf, RUN_CASES[name])
+        assert replay(sc) == replay_step_by_step(sc)
+
+    def test_seeded_mixes_of_runs_and_other_steps(self):
+        rng = random.Random(2028)
+        for _ in range(300):
+            n, steps = rng.randint(2, 30), []
+            while len(steps) < 12:
+                width = rng.randint(1, n)
+                if width > 1 and rng.random() < 0.6:
+                    m = rng.randint(1, width - 1)
+                    first = rng.randint(1, n - width + 1)
+                    steps += rotations(width, m, range(first, n - width + 2, width - m))[
+                        : rng.randint(1, 5)
+                    ]
+                else:
+                    mask = rng.getrandbits(width)
+                    steps.append(DupLossStep(rng.randint(1, n - width + 1), width, mask))
+            sc = Scenario(n, n, steps)
+            assert replay(sc) == replay_step_by_step(sc), steps
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_width_error_on_a_run_step(self, where):
+        steps = rotations(4, 1, [1, 4, 7, 10])
+        i = {"first": 0, "middle": 2, "last": 3}[where]
+        steps[i] = rotations(6, 1, [steps[i].start])[0]
+        sc = Scenario(16, 4, steps)
+        assert outcome(replay, sc) == outcome(replay_step_by_step, sc)
+        assert outcome(replay, sc) == (WidthExceededError, "step width 6 exceeds limit 4")
+
+    @pytest.mark.parametrize("n, window", [(3, "[1, 4]"), (8, "[7, 10]"), (12, "[10, 13]")])
+    def test_window_error_on_a_run_step(self, n, window):
+        sc = Scenario(n, 4, rotations(4, 1, [1, 4, 7, 10]))
+        assert outcome(replay, sc) == outcome(replay_step_by_step, sc)
+        message = f"window {window} does not fit in size {n}"
+        assert outcome(replay, sc) == (WindowOutOfRangeError, message)
+
+    def test_first_offending_step_decides(self):
+        late_width = rotations(4, 1, [1, 4]) + rotations(6, 1, [7])
+        window_then_width = rotations(4, 1, [1, 4, 7, 10]) + rotations(6, 1, [1])
+        both_in_one = rotations(4, 1, [1]) + rotations(6, 1, [9])
+        for steps, error in [
+            (late_width, WidthExceededError),
+            (window_then_width, WindowOutOfRangeError),
+            (both_in_one, WidthExceededError),
+        ]:
+            sc = Scenario(12, 4, steps)
+            assert outcome(replay, sc) == outcome(replay_step_by_step, sc)
+            assert outcome(replay, sc)[0] is error
+
+
+class TestScenarioSteps:
+    def test_steps_are_stored_as_a_tuple(self):
+        step = DupLossStep(1, 2, 0b10)
+        sc = Scenario(3, 3, [step])
+        assert sc.steps == (step,)
+        assert hash(sc) == hash(Scenario(3, 3, (step,)))
+        assert Scenario(3, 3, iter([step])) == sc
+
+    @pytest.mark.parametrize("steps, message", [
+        (((1, 2, 1),), "step (1, 2, 1) is not a DupLossStep"),
+        ([DupLossStep(1, 2, 1), None], "step None is not a DupLossStep"),
+        ("ab", "step 'a' is not a DupLossStep"),
+        (5, "steps 5 are not iterable"),
+    ])
+    def test_rejects_what_is_not_a_step(self, steps, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            Scenario(3, 3, steps)
 
 
 class TestBucketWindows:

@@ -31,6 +31,7 @@ from duploss.steps import (
     _step,
     _window_order,
     apply_step_to_list,
+    apply_steps_to_list,
     key_states,
     reverse_complements,
     state_key,
@@ -150,6 +151,18 @@ class TestMaskKernel:
             top = 1 << (width - 1)
             for mask in (0, (top << 1) - 1, 1, top, rng.getrandbits(width), rng.getrandbits(width)):
                 self.check_decoded(width, mask)
+
+    def test_every_pair_of_steps_applied_as_a_sequence(self):
+        # Every two-step sequence on a size-6 host: each run of rotation
+        # steps it holds, and each way such a run can break.
+        host = list(random_permutation(6, 5).values)
+        steps = list(all_steps(6, 4))
+        for first, second in itertools.product(steps, repeat=2):
+            got, want = list(host), list(host)
+            apply_steps_to_list(got, (first, second))
+            apply_keep_set(want, first)
+            apply_keep_set(want, second)
+            assert got == want, (first, second)
 
     def test_kernel_on_a_wide_bucket_row(self):
         # One n_over_log bench row: n = 2048, K = ceil(2048 / log2 2048) = 187.
