@@ -16,11 +16,16 @@ Functions that index entries in a loop first take ``tuple(perm)``: CPython
 specializes indexing for exact tuples only.
 
 Pattern containment reads, per pattern, a plan of which earlier entries
-bound each entry from below and above (``_pattern_plan``).  Patterns of up
-to 16 entries are compiled from their plan into a matcher with one nested
-loop per entry, kept in a bounded cache (``_matcher``); longer ones, past
-CPython's limit of 20 nested blocks in one function, are searched by a
-backtracker over the same plan (``_backtrack``).
+bound each entry from below and above, and by how many values at least
+(``_pattern_plan``): the pattern values between them must fit between the
+host values matched to them, read from 0 and n + 1 where there is no
+earlier bound, so even the first entry has a range.  These value gaps hold
+only in a host of exactly 1..n, so a host that is not a ``Permutation``
+and each new pattern go through the ``Permutation`` constructor first.
+Patterns of up to 16 entries are compiled from their plan into a matcher
+with one nested loop per entry, kept in a bounded cache (``_matcher``);
+longer ones, past CPython's limit of 20 nested blocks in one function, are
+searched by a backtracker over the same plan and bounds (``_backtrack``).
 """
 
 from __future__ import annotations
@@ -207,17 +212,28 @@ def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int], ...]:
-    """Per depth d of ``pattern``, the indices (floor, ceiling) among its
-    entries before d: the one with the largest value below ``pattern[d]`` and
-    the one with the smallest value above it, -1 where there is none.
+def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int, int, int], ...]:
+    """Per depth d of ``pattern``, of size k: the indices (floor, ceiling)
+    among its entries before d, the one with the largest value below
+    p_d = ``pattern[d]`` and the one with the smallest value above it (-1
+    where there is none), and the value gaps (below, above) from them to p_d,
+    read from a floor of value 0 and a ceiling of value k + 1 where there is
+    none.
+
+    The below - 1 pattern values strictly between the floor's and p_d map to
+    as many distinct host values between the ones matched at the floor and at
+    d, and likewise above p_d.  So in a host of 1..n every occurrence has
+    v_floor + below <= v_d <= v_ceiling - above, with a missing floor
+    matched to 0 and a missing ceiling to n + 1.  A gap of 1 is the plain
+    order test.
 
     Bounded, like the step caches: a caller scanning many patterns once each
     would otherwise keep one plan per pattern for good.
 
     >>> _pattern_plan(Permutation([1, 3, 4, 2]))
-    ((-1, -1), (0, -1), (1, -1), (0, 1))
+    ((-1, -1, 1, 4), (0, -1, 2, 2), (1, -1, 1, 1), (0, 1, 1, 1))
     """
+    top = len(pattern) + 1
     plan = []
     for d, p in enumerate(pattern):
         floor = ceiling = -1
@@ -227,7 +243,9 @@ def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int], ...]:
                 floor = e
             elif q > p and (ceiling < 0 or q < pattern[ceiling]):
                 ceiling = e
-        plan.append((floor, ceiling))
+        below = p - (pattern[floor] if floor >= 0 else 0)
+        above = (pattern[ceiling] if ceiling >= 0 else top) - p
+        plan.append((floor, ceiling, below, above))
     return tuple(plan)
 
 
@@ -237,43 +255,67 @@ def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int], ...]:
 _MAX_COMPILED = 16
 
 
-def _matcher_source(plan: tuple[tuple[int, int], ...]) -> str:
-    """The source of ``match(h)``, True iff the tuple ``h`` contains the
-    pattern planned by ``plan``: one loop per depth d over the host indices
-    that leave room for the depths after it, each testing its value v_d
-    against the values matched at its floor and ceiling where it has them.
+def _bounds_test(d: int, floor: int, ceiling: int, below: int, above: int) -> str:
+    """The condition ``v_floor + below <= v_d <= v_ceiling - above`` as
+    source, with a missing floor of 0 and ceiling of n + 1 for a host of
+    1..n; "" when it rules out no value of 1..n."""
+    if floor >= 0:
+        low = f"v{floor} < " if below == 1 else f"v{floor} + {below - 1} < "
+    else:
+        low = f"{below - 1} < " if below > 1 else ""
+    if ceiling >= 0:
+        high = f" < v{ceiling}" if above == 1 else f" < v{ceiling} - {above - 1}"
+    else:
+        high = "" if above == 1 else " < n" if above == 2 else f" < n - {above - 2}"
+    return f"{low}v{d}{high}" if low or high else ""
 
-    >>> print(_matcher_source(_pattern_plan(Permutation([2, 1]))), end="")
+
+def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
+    """The source of ``match(h)``, True iff the tuple ``h``, a permutation of
+    1..n, contains the pattern planned by ``plan``: one loop per depth d over
+    the host indices that leave room for the depths after it, the last one
+    over a slice of the values, each testing its value v_d against the
+    bounds of its gaps from the values matched at its floor and ceiling (see
+    ``_pattern_plan``).  For 321, v0 needs two smaller values after it, and
+    v1 one:
+
+    >>> print(_matcher_source(_pattern_plan(Permutation([3, 2, 1]))), end="")
     def match(h):
         n = len(h)
-        for i0 in range(n - 1):
+        for i0 in range(n - 2):
             v0 = h[i0]
-            for i1 in range(i0 + 1, n):
-                v1 = h[i1]
-                if v1 < v0:
-                    return True
+            if 2 < v0:
+                for i1 in range(i0 + 1, n - 1):
+                    v1 = h[i1]
+                    if 1 < v1 < v0:
+                        for v2 in h[i1 + 1:]:
+                            if v2 < v1:
+                                return True
         return False
     """
     k = len(plan)
     lines, indent, start = ["def match(h):", "    n = len(h)"], "    ", ""
-    for d, (floor, ceiling) in enumerate(plan):
-        stop = f"n - {k - 1 - d}" if d < k - 1 else "n"
-        lines.append(f"{indent}for i{d} in range({start}{stop}):")
+    for d, gaps in enumerate(plan):
+        if d < k - 1:
+            lines.append(f"{indent}for i{d} in range({start}n - {k - 1 - d}):")
+            lines.append(f"{indent}    v{d} = h[i{d}]")
+        else:
+            lines.append(f"{indent}for v{d} in h{f'[i{d - 1} + 1:]' if d else ''}:")
         indent += "    "
-        lines.append(f"{indent}v{d} = h[i{d}]")
-        if d:
-            low = f"v{floor} < " if floor >= 0 else ""
-            high = f" < v{ceiling}" if ceiling >= 0 else ""
-            lines.append(f"{indent}if {low}v{d}{high}:")
+        test = _bounds_test(d, *gaps)
+        if test:
+            lines.append(f"{indent}if {test}:")
             indent += "    "
         start = f"i{d} + 1, "
     lines += [f"{indent}return True", "    return False"]
     return "\n".join(lines) + "\n"
 
 
-def _backtrack(plan: tuple[tuple[int, int], ...], hv: tuple[int, ...]) -> bool:
-    """``match`` for patterns too long to compile: the same search, with the
-    matched values and host indices kept in lists per depth."""
+def _backtrack(plan: tuple[tuple[int, int, int, int], ...], hv: tuple[int, ...]) -> bool:
+    """``match`` for patterns too long to compile: the same search under the
+    same bounds v_floor + below <= v_d <= v_ceiling - above, with a missing
+    floor read as 0 and a missing ceiling as n + 1, and with the matched
+    values and host indices kept in lists per depth."""
     n, k = len(hv), len(plan)
     if k > n:
         return False
@@ -282,13 +324,13 @@ def _backtrack(plan: tuple[tuple[int, int], ...], hv: tuple[int, ...]) -> bool:
     pos = [0] * k  # host index matched at each depth
     d = i = 0
     while True:
-        floor, ceiling = plan[d]
-        lo = vals[floor] if floor >= 0 else 0
-        hi = vals[ceiling] if ceiling >= 0 else top
+        floor, ceiling, below, above = plan[d]
+        lo = (vals[floor] if floor >= 0 else 0) + below
+        hi = (vals[ceiling] if ceiling >= 0 else top) - above
         last = n - k + d  # leave room for the depths still to match
         while i <= last:
             v = hv[i]
-            if lo < v < hi:
+            if lo <= v <= hi:
                 vals[d], pos[d] = v, i
                 d += 1
                 if d == k:
@@ -304,31 +346,47 @@ def _backtrack(plan: tuple[tuple[int, int], ...], hv: tuple[int, ...]) -> bool:
 
 
 @functools.lru_cache(maxsize=1024)
-def _matcher(pattern: Permutation) -> Callable[[tuple[int, ...]], bool]:
-    """The containment test of ``pattern`` on a host tuple: ``match``
-    compiled from ``_matcher_source``, or ``_backtrack`` on the plan past
-    ``_MAX_COMPILED`` entries.  Compiling takes tens to hundreds of
-    microseconds, growing with the size, once per pattern while it stays in
-    this bounded cache; a matcher holds a few kilobytes.
+def _matcher(pattern: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:
+    """The containment test of ``pattern`` on a host tuple of 1..n:
+    ``match`` compiled from ``_matcher_source``, or ``_backtrack`` on the
+    plan past ``_MAX_COMPILED`` entries.  The pattern is checked by the
+    ``Permutation`` constructor here, once, so a cache hit checks nothing.
+    Compiling takes tens to hundreds of microseconds, growing with the size,
+    once per pattern while it stays in this bounded cache; a matcher holds a
+    few kilobytes.
     """
+    pattern = Permutation(pattern)
     plan = _pattern_plan(pattern)
     if len(plan) > _MAX_COMPILED:
         return functools.partial(_backtrack, plan)
-    name = f"<matcher of {','.join(map(str, pattern))}>"
+    name = f"<matcher of {pattern}>"
     namespace: dict = {}
     exec(compile(_matcher_source(plan), name, "exec"), namespace)
     return namespace["match"]
 
 
-def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
+def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
+
+    ``host`` must be a permutation of 1..n and ``pattern`` one of 1..k.  A
+    ``Permutation`` host is taken as it is and any other sequence goes
+    through the ``Permutation`` constructor; the pattern is checked by that
+    constructor when its matcher is built, and a list pattern answers as its
+    tuple.  A sequence that is not a permutation raises the constructor's
+    ``OutOfRangeError`` or ``DuplicateValueError``, except that one equal to
+    a pattern already cached, such as ``(1.0, 2.0)`` after ``(1, 2)``,
+    answers as that pattern.
 
     A partial match is order-isomorphic to the pattern's prefix exactly when
     each chosen entry lies between the entries matched to its left floor and
-    left ceiling in the pattern (see ``_pattern_plan``).  So a candidate
-    costs at most two comparisons, whatever the depth.  Each pattern's plan
-    is compiled once into a matcher with one nested loop per entry (see
-    ``_matcher``) that stops at the first full match.
+    left ceiling in the pattern.  Each must also leave room for the pattern
+    values between them: entry d lies at least ``below`` above its floor's
+    value and at least ``above`` under its ceiling's, read from 0 and n + 1
+    where it has none (see ``_pattern_plan``).  So a candidate costs at most
+    two comparisons, whatever the depth, and even depth 0 skips the values
+    that cannot begin an occurrence.  Each pattern's plan is compiled once
+    into a matcher with one nested loop per entry (see ``_matcher``) that
+    stops at the first full match.
 
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([1, 3, 4, 2]))
     True
@@ -339,6 +397,8 @@ def contains_pattern(host: Permutation, pattern: Permutation) -> bool:
         match = _matcher(pattern)
     except TypeError:  # an unhashable sequence, such as a list, misses the cache
         match = _matcher(tuple(pattern))
+    if not isinstance(host, Permutation):
+        host = Permutation(host)
     return match(tuple(host))
 
 

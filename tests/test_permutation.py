@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from duploss import (
+    DupLossError,
     DuplicateValueError,
     OutOfRangeError,
     Permutation,
@@ -252,11 +253,59 @@ class TestPatterns:
                         got = contains_pattern(Permutation(host), Permutation(patt))
                         assert got == bool(brute_occurrence_indices(host, patt))
 
-    @given(permutations_st(min_n=4, max_n=8), permutations_st(min_n=1, max_n=4))
+    @given(permutations_st(min_n=4, max_n=10), permutations_st(min_n=1, max_n=6))
     @settings(deadline=None, max_examples=80)
     def test_against_brute_force_random(self, host, patt):
         got = contains_pattern(host, patt)
         assert got == bool(brute_occurrence_indices(host.values, patt.values))
+
+    def test_every_occurrence_meets_the_gap_bounds(self):
+        """Each occurrence in S_1..S_6 of each pattern of size <= 4 has
+        v_floor + below <= v_d <= v_ceiling - above at every depth d, with a
+        missing floor matched to 0 and a missing ceiling to n + 1."""
+        occurrences = 0
+        for n in range(1, 7):
+            for host in itertools.permutations(range(1, n + 1)):
+                for k in range(1, 5):
+                    for patt in itertools.permutations(range(1, k + 1)):
+                        plan = _pattern_plan(Permutation(patt))
+                        for occ in brute_occurrence_indices(host, patt):
+                            vals = [host[i - 1] for i in occ]
+                            for d, (floor, ceiling, below, above) in enumerate(plan):
+                                lo = vals[floor] if floor >= 0 else 0
+                                hi = vals[ceiling] if ceiling >= 0 else n + 1
+                                assert lo + below <= vals[d] <= hi - above, (host, patt, occ, d)
+                            occurrences += 1
+        assert occurrences > 0
+
+    def test_gap_bounds_are_tight_on_the_pattern_itself(self):
+        """With the pattern as its own host, each depth's bounds both equal
+        its own value, so no bound can be raised without losing it."""
+        for k in range(1, 7):
+            for patt in itertools.permutations(range(1, k + 1)):
+                for d, (floor, ceiling, below, above) in enumerate(_pattern_plan(Permutation(patt))):
+                    lo = patt[floor] if floor >= 0 else 0
+                    hi = patt[ceiling] if ceiling >= 0 else k + 1
+                    assert lo + below == patt[d] == hi - above, (patt, d)
+
+    def test_non_permutation_input_is_refused(self):
+        with pytest.raises(DuplicateValueError):
+            contains_pattern(Permutation([1, 2]), (2, 2))
+        with pytest.raises(OutOfRangeError):
+            contains_pattern((0, 2, 1), Permutation([2, 1]))
+        with pytest.raises(OutOfRangeError):
+            contains_pattern(identity(3), [1, 3])
+        with pytest.raises(OutOfRangeError):
+            contains_pattern([2, 3, 4], identity(2))
+        for bad in ((1, 3), [2, 2], (0,), (1, 2, 4)):
+            with pytest.raises(DupLossError):
+                contains_pattern(identity(3), bad)
+
+    def test_plain_sequence_host_answers_as_its_permutation(self):
+        for vals in itertools.permutations(range(1, 6)):
+            for patt in ((3, 2, 1), (2, 3, 1), (1, 3, 4, 2)):
+                expected = contains_pattern(Permutation(vals), patt)
+                assert contains_pattern(vals, patt) == contains_pattern(list(vals), patt) == expected
 
     def test_matches_backtracking_oracle_exhaustive(self):
         """Every host of S_0..S_6 against every pattern of size 0..5."""
