@@ -20,12 +20,11 @@ bound each entry from below and above, and by how many values at least
 (``_pattern_plan``): the pattern values between them must fit between the
 host values matched to them, read from 0 and n + 1 where there is no
 earlier bound, so even the first entry has a range.  These value gaps hold
-only in a host of exactly 1..n, so a host that is not a ``Permutation``
-and each new pattern go through the ``Permutation`` constructor first.
-Patterns of up to 16 entries are compiled from their plan into a matcher
-with one nested loop per entry, kept in a bounded cache (``_matcher``);
-longer ones, past CPython's limit of 20 nested blocks in one function, are
-searched by a backtracker over the same plan and bounds (``_backtrack``).
+only in a host of exactly 1..n, so a host or pattern that is not a
+``Permutation`` goes through the ``Permutation`` constructor first.  Each
+pattern is compiled from its plan into a matcher with one nested loop per
+entry, split into chained functions of at most ``_MAX_NEST`` loops each,
+and kept in a bounded cache (``_matcher``).
 """
 
 from __future__ import annotations
@@ -73,6 +72,12 @@ class Permutation(tuple):
     """
 
     __slots__ = ()
+
+    def __new__(cls, values: Iterable[int], /):
+        try:
+            return tuple.__new__(cls, values)
+        except TypeError:
+            raise InvalidParameterError(f"{values!r} is not a sequence of values") from None
 
     def __init__(self, values: Iterable[int], /):
         # tuple.__new__ has already consumed ``values``; check what it built.
@@ -211,7 +216,6 @@ def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
 
-@functools.lru_cache(maxsize=1024)
 def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int, int, int], ...]:
     """Per depth d of ``pattern``, of size k: the indices (floor, ceiling)
     among its entries before d, the one with the largest value below
@@ -226,9 +230,6 @@ def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int, int, int], ...]
     v_floor + below <= v_d <= v_ceiling - above, with a missing floor
     matched to 0 and a missing ceiling to n + 1.  A gap of 1 is the plain
     order test.
-
-    Bounded, like the step caches: a caller scanning many patterns once each
-    would otherwise keep one plan per pattern for good.
 
     >>> _pattern_plan(Permutation([1, 3, 4, 2]))
     ((-1, -1, 1, 4), (0, -1, 2, 2), (1, -1, 1, 1), (0, 1, 1, 1))
@@ -250,9 +251,9 @@ def _pattern_plan(pattern: Permutation) -> tuple[tuple[int, int, int, int], ...]
 
 
 # A matcher nests one loop per pattern entry and CPython refuses more than 20
-# nested blocks in one function, so patterns longer than this, a margin below
-# that limit, keep ``_backtrack``.
-_MAX_COMPILED = 16
+# nested blocks in one function, so each function of a matcher holds at most
+# this many depths, a margin below that limit, and calls the next one.
+_MAX_NEST = 16
 
 
 def _bounds_test(d: int, floor: int, ceiling: int, below: int, above: int) -> str:
@@ -276,8 +277,9 @@ def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
     the host indices that leave room for the depths after it, the last one
     over a slice of the values, each testing its value v_d against the
     bounds of its gaps from the values matched at its floor and ceiling (see
-    ``_pattern_plan``).  For 321, v0 needs two smaller values after it, and
-    v1 one:
+    ``_pattern_plan``).  After every ``_MAX_NEST`` depths d the innermost
+    body calls ``match{d}(h, n, i{d-1}, v0, ..., v{d-1})``, which holds the
+    next depths.  For 321, v0 needs two smaller values after it, and v1 one:
 
     >>> print(_matcher_source(_pattern_plan(Permutation([3, 2, 1]))), end="")
     def match(h):
@@ -296,6 +298,11 @@ def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
     k = len(plan)
     lines, indent, start = ["def match(h):", "    n = len(h)"], "    ", ""
     for d, gaps in enumerate(plan):
+        if d and d % _MAX_NEST == 0:
+            head = f"match{d}(h, n, i{d - 1}, {', '.join(f'v{e}' for e in range(d))})"
+            lines += [f"{indent}if {head}:", f"{indent}    return True", "    return False"]
+            lines.append(f"def {head}:")
+            indent = "    "
         if d < k - 1:
             lines.append(f"{indent}for i{d} in range({start}n - {k - 1 - d}):")
             lines.append(f"{indent}    v{d} = h[i{d}]")
@@ -311,57 +318,17 @@ def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _backtrack(plan: tuple[tuple[int, int, int, int], ...], hv: tuple[int, ...]) -> bool:
-    """``match`` for patterns too long to compile: the same search under the
-    same bounds v_floor + below <= v_d <= v_ceiling - above, with a missing
-    floor read as 0 and a missing ceiling as n + 1, and with the matched
-    values and host indices kept in lists per depth."""
-    n, k = len(hv), len(plan)
-    if k > n:
-        return False
-    top = n + 1
-    vals = [0] * k  # host value matched at each depth
-    pos = [0] * k  # host index matched at each depth
-    d = i = 0
-    while True:
-        floor, ceiling, below, above = plan[d]
-        lo = (vals[floor] if floor >= 0 else 0) + below
-        hi = (vals[ceiling] if ceiling >= 0 else top) - above
-        last = n - k + d  # leave room for the depths still to match
-        while i <= last:
-            v = hv[i]
-            if lo <= v <= hi:
-                vals[d], pos[d] = v, i
-                d += 1
-                if d == k:
-                    return True
-                i += 1
-                break
-            i += 1
-        else:
-            d -= 1
-            if d < 0:
-                return False
-            i = pos[d] + 1
-
-
 @functools.lru_cache(maxsize=1024)
-def _matcher(pattern: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:
-    """The containment test of ``pattern`` on a host tuple of 1..n:
-    ``match`` compiled from ``_matcher_source``, or ``_backtrack`` on the
-    plan past ``_MAX_COMPILED`` entries.  The pattern is checked by the
-    ``Permutation`` constructor here, once, so a cache hit checks nothing.
-    Compiling takes tens to hundreds of microseconds, growing with the size,
-    once per pattern while it stays in this bounded cache; a matcher holds a
-    few kilobytes.
+def _matcher(pattern: Permutation) -> Callable[[tuple[int, ...]], bool]:
+    """The containment test of the ``Permutation`` ``pattern`` on a host
+    tuple of 1..n: ``match`` compiled from ``_matcher_source``, with the
+    functions it chains to in the same namespace.  Compiling takes tens to
+    hundreds of microseconds, growing with the size, once per pattern while
+    it stays in this bounded cache; a matcher holds a few kilobytes.
     """
-    pattern = Permutation(pattern)
-    plan = _pattern_plan(pattern)
-    if len(plan) > _MAX_COMPILED:
-        return functools.partial(_backtrack, plan)
-    name = f"<matcher of {pattern}>"
     namespace: dict = {}
-    exec(compile(_matcher_source(plan), name, "exec"), namespace)
+    source = _matcher_source(_pattern_plan(pattern))
+    exec(compile(source, f"<matcher of {pattern}>", "exec"), namespace)
     return namespace["match"]
 
 
@@ -369,13 +336,11 @@ def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of ``host`` is order-isomorphic to ``pattern``.
 
     ``host`` must be a permutation of 1..n and ``pattern`` one of 1..k.  A
-    ``Permutation`` host is taken as it is and any other sequence goes
-    through the ``Permutation`` constructor; the pattern is checked by that
-    constructor when its matcher is built, and a list pattern answers as its
-    tuple.  A sequence that is not a permutation raises the constructor's
-    ``OutOfRangeError`` or ``DuplicateValueError``, except that one equal to
-    a pattern already cached, such as ``(1.0, 2.0)`` after ``(1, 2)``,
-    answers as that pattern.
+    ``Permutation`` is taken as it is and any other sequence goes through the
+    ``Permutation`` constructor, so a list pattern answers as its tuple.  A
+    sequence that is not a permutation raises the constructor's
+    ``OutOfRangeError`` or ``DuplicateValueError``, and one that is not
+    iterable its ``InvalidParameterError``.
 
     A partial match is order-isomorphic to the pattern's prefix exactly when
     each chosen entry lies between the entries matched to its left floor and
@@ -393,13 +358,11 @@ def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([3, 2, 1]))
     False
     """
-    try:
-        match = _matcher(pattern)
-    except TypeError:  # an unhashable sequence, such as a list, misses the cache
-        match = _matcher(tuple(pattern))
+    if not isinstance(pattern, Permutation):
+        pattern = Permutation(pattern)
     if not isinstance(host, Permutation):
         host = Permutation(host)
-    return match(tuple(host))
+    return _matcher(pattern)(tuple(host))
 
 
 def delete(perm: Permutation, position: int) -> Permutation:

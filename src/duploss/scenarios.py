@@ -150,14 +150,8 @@ def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
 
 def _as_permutation(target: Sequence[int]) -> Permutation:
     """``target`` itself when it is a ``Permutation``, else the checked
-    ``Permutation`` of its entries, which raises a typed DupLossError; a
-    target that is not iterable raises ``InvalidParameterError``."""
-    if isinstance(target, Permutation):
-        return target
-    try:
-        return Permutation(target)
-    except TypeError:
-        raise InvalidParameterError(f"target {target!r} is not a sequence of values") from None
+    ``Permutation`` of its entries, which raises a typed DupLossError."""
+    return target if isinstance(target, Permutation) else Permutation(target)
 
 
 def radix_scenario(target: Permutation) -> Scenario:

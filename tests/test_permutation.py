@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from duploss import (
     DupLossError,
     DuplicateValueError,
+    InvalidParameterError,
     OutOfRangeError,
     Permutation,
     PositionOutOfRangeError,
@@ -23,7 +23,7 @@ from duploss import (
     random_permutation,
     reversed_identity,
 )
-from duploss.permutation import _MAX_COMPILED, _matcher, _pattern_plan
+from duploss.permutation import _matcher, _pattern_plan
 from helpers import (
     backtrack_contains,
     brute_occurrence_indices,
@@ -65,6 +65,11 @@ class TestConstruction:
     )
     def test_out_of_range_rejected(self, vals):
         with pytest.raises(OutOfRangeError):
+            Permutation(vals)
+
+    @pytest.mark.parametrize("vals", [5, None, 1.5])
+    def test_non_iterable_rejected(self, vals):
+        with pytest.raises(InvalidParameterError):
             Permutation(vals)
 
     def test_empty_is_valid(self):
@@ -300,6 +305,18 @@ class TestPatterns:
         for bad in ((1, 3), [2, 2], (0,), (1, 2, 4)):
             with pytest.raises(DupLossError):
                 contains_pattern(identity(3), bad)
+        with pytest.raises(InvalidParameterError):
+            contains_pattern(None, (1,))
+        with pytest.raises(InvalidParameterError):
+            contains_pattern(identity(3), 5)
+
+    def test_pattern_is_checked_on_every_call(self):
+        """A pattern equal to a cached one, but not a permutation, is still
+        refused: ``(1.0, 2.0)`` hashes and compares as ``(1, 2)``."""
+        assert contains_pattern(identity(3), (1, 2))
+        with pytest.raises(OutOfRangeError):
+            contains_pattern(identity(3), (1.0, 2.0))
+        assert contains_pattern(identity(3), [1, 2])
 
     def test_plain_sequence_host_answers_as_its_permutation(self):
         for vals in itertools.permutations(range(1, 6)):
@@ -331,11 +348,12 @@ class TestPatterns:
             for patt in patterns:
                 assert contains_pattern(host, patt) == backtrack_contains(host, patt), (host, patt)
 
-    @pytest.mark.parametrize("k", [15, 16, 17, 20, 25])
+    @pytest.mark.parametrize("k", [15, 16, 17, 20, 25, 33, 40])
     def test_long_patterns_match_backtracking_oracle(self, k):
-        """Patterns on both sides of the compile cap, in hosts of size k - 1
-        up to 30: one a pattern of the host by construction, one drawn at
-        random, and the host's own pattern with two adjacent values swapped."""
+        """Patterns of one, two and three chained matcher functions, in hosts
+        of sizes k - 1 to k + 3 and 30: one a pattern of the host by
+        construction, one drawn at random, and the host's own pattern with
+        two adjacent values swapped."""
         rng = random.Random(k)
         answers = []
         for n in (k - 1, k, k + 1, k + 3, 30):
@@ -351,8 +369,8 @@ class TestPatterns:
                     assert got == backtrack_contains(host, patt), (host, patt)
                     answers.append(got)
         assert True in answers and False in answers
-        # sizes past the cap are searched by the plan-driven backtracker
-        assert isinstance(_matcher(patterns[0]), functools.partial) == (k > _MAX_COMPILED)
+        # every size is searched by generated code
+        assert all(_matcher(p).__code__.co_filename == f"<matcher of {p}>" for p in patterns)
 
     def test_list_pattern_answers_as_its_tuple(self):
         for vals in itertools.permutations(range(1, 6)):
@@ -360,7 +378,7 @@ class TestPatterns:
             for k in range(4):
                 for patt in itertools.permutations(range(1, k + 1)):
                     assert contains_pattern(host, list(patt)) == contains_pattern(host, patt)
-        # past the compile cap
+        # longer than one matcher function holds
         host = random_permutation(24, 17)
         for patt in (rank_pattern(host[3:20]), tuple(range(17, 0, -1))):
             assert contains_pattern(host, list(patt)) == contains_pattern(host, patt)
@@ -368,9 +386,6 @@ class TestPatterns:
     def test_longer_pattern_is_never_contained(self):
         assert not contains_pattern(identity(2), identity(3))
         assert not contains_pattern(Permutation(()), Permutation([1]))
-
-    def test_plan_cache_is_bounded(self):
-        assert _pattern_plan.cache_info().maxsize is not None
 
     def test_matcher_cache_is_bounded(self):
         assert _matcher.cache_info().maxsize is not None
