@@ -1,9 +1,9 @@
 """Seeded sampling, certified lower bounds, and the benchmark harness.
 
-Sampling uses a Mersenne Twister seeded per call and an explicit
-Fisher-Yates shuffle (uniform index swaps), so every emitted row can be
-regenerated from its (n, seed) pair alone.  Benchmark rows are replay-verified
-and checked against the per-permutation lower bound before they are emitted.
+Sampling shuffles 1..n with ``random.Random(seed).shuffle``, a Mersenne
+Twister seeded per call, so every emitted row can be regenerated from its
+(n, seed) pair alone.  Benchmark rows are replay-verified and checked
+against the per-permutation lower bound before they are emitted.
 CSV output is deterministic by default: wall-clock timings live in the
 ``BenchRow`` objects but are only written when explicitly requested, since
 they vary between runs.

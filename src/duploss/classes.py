@@ -14,11 +14,11 @@ identity.  Every one of them reaches the memo through ``_search(n, K)``,
 which rejects a negative size, checks the size cap and keys one search by
 (n, min(K, n)), so an infinite width and any width of at least n share the
 search at width n, a ``_LayeredSearch`` on inverse keys.  A class at budget
-p is the union of its first p + 1 layers, grown from the last class
-returned.  The cap (default 10) refuses sizes beyond desk scale, S_11 and
-up; the DUPLOSS_ENUM_CAP environment variable, an integer, is the one
-override.  Sizes above 256, whose positions no longer fit in a byte, are
-refused whatever the cap says.
+p is a read-only set over the search's first p + 1 layers, a ``_ClassView``
+that copies no member and builds no ``Permutation``.  The cap (default 10)
+refuses sizes beyond desk scale, S_11 and up; the DUPLOSS_ENUM_CAP
+environment variable, an integer, is the one override.  Sizes above 256,
+whose positions no longer fit in a byte, are refused whatever the cap says.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import itertools
 import math
 import operator
 import os
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .errors import (
@@ -123,7 +124,6 @@ class _LayeredSearch:
     built once from its key when the state is found.  Layers are expanded
     on demand and kept, so later queries at the same (n, width) reuse all
     earlier work; an empty last layer means the search is exhausted.
-    ``last_class`` is the (budget, class) ``enumerate_class`` returned last.
     """
 
     def __init__(self, n: int, width: int):
@@ -133,7 +133,6 @@ class _LayeredSearch:
         self.dist: dict[bytes, int] = {start: 0}
         self.frontier: list[bytes] = [start]
         self.layers: list[list[Permutation]] = [key_states(self.frontier, n)]
-        self.last_class: tuple[int, frozenset[Permutation]] = (-1, frozenset())
 
     @property
     def depth(self) -> int:
@@ -173,23 +172,42 @@ def clear_search_cache() -> None:
     _searches.clear()
 
 
-def enumerate_class(spec: ClassSpec, n: int) -> frozenset[Permutation]:
-    """All size-n permutations reachable within the spec's budget.
+class _ClassView(Set):
+    """The members of some search layers, as a read-only set that iterates
+    the layers' own objects.  It is equal and hash-equal to the frozenset
+    of its members, and its set operators return frozensets.  Membership
+    asks that frozenset, built on the first test, so it answers as the
+    frozenset does: a plain tuple equal to a member is in, an unhashable
+    value raises ``TypeError``."""
 
-    A budget at or above the last one asked of this search is answered by
-    adding the layers between the two to the last class, so a rising run of
-    budgets hashes each state in once.
-    """
+    __slots__ = ("_layers", "_len", "_members")
+    __hash__ = Set._hash
+    _from_iterable = frozenset
+
+    def __init__(self, layers: list[list[Permutation]]):
+        self._layers = layers
+        self._len = sum(map(len, layers))
+        self._members: frozenset[Permutation] | None = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._layers)
+
+    def __contains__(self, value) -> bool:
+        if self._members is None:
+            self._members = frozenset(self)
+        return value in self._members
+
+
+def enumerate_class(spec: ClassSpec, n: int) -> Set[Permutation]:
+    """All size-n permutations reachable within the spec's budget, as a
+    read-only set over the search's first budget + 1 layers (``_ClassView``).
+    Nothing is copied: later growth of the search leaves it unchanged."""
     search = _search(n, spec.width_limit)
     search.grow(spec.budget)
-    budget = min(spec.budget, search.depth)
-    last, members = search.last_class
-    if last > budget:
-        last, members = -1, frozenset()
-    if last < budget:
-        members = members.union(*search.layers[last + 1 : budget + 1])
-        search.last_class = (budget, members)
-    return members
+    return _ClassView(search.layers[: spec.budget + 1])
 
 
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:

@@ -381,5 +381,6 @@ def delete(perm: Permutation, position: int) -> Permutation:
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations of size n, in lexicographic order of one-line values."""
-    return map(Permutation, itertools.permutations(_values(n)))
+    """All n! permutations of size n, in lexicographic order of one-line
+    values; each is one by construction, so it is wrapped unchecked."""
+    return map(functools.partial(tuple.__new__, Permutation), itertools.permutations(_values(n)))

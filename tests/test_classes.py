@@ -411,13 +411,36 @@ class TestReverseComplementHalving:
         self._check(self._full_search(8, 3), per_key_layers(state_key(range(1, 9)), 3))
 
 
+def _check_class_view(members, layers):
+    """``members`` is a read-only set over ``layers``: equal and hash-equal
+    to the frozenset of their objects, iterating those very objects, with
+    frozenset membership and frozenset results from the set operators."""
+    frozen = frozenset(itertools.chain.from_iterable(layers))
+    assert members == frozen and frozen == members and hash(members) == hash(frozen)
+    assert sorted(map(id, members)) == sorted(id(p) for layer in layers for p in layer)
+    some = next(iter(members))
+    assert some in members and tuple(some) in members
+    assert (*some, len(some) + 1) not in members
+    with pytest.raises(TypeError):
+        list(some) in members
+    other = frozenset([some, identity(len(some) + 1)])
+    for result in (members | other, members & other, members - other, members ^ other,
+                   other | members, other & members, other - members, other ^ members):
+        assert type(result) is frozenset
+    assert members | other == frozen | other and members & other == frozen & other
+    assert members - other == frozen - other and other - members == other - frozen
+    assert members ^ other == frozen ^ other == other ^ members
+
+
 def test_classes_grow_from_the_last_class_returned():
     # budgets 0..diameter+1 rising, then falling, then rising after a clear;
-    # each answer is the from-scratch union and holds the layers' objects
+    # each answer is the from-scratch union, a view of the layers' objects
+    # that later growth and clears leave unchanged
     clear_search_cache()
     search = classes._search(6, 3)
     search.grow(math.inf)
     budgets = list(range(search.depth + 1))  # the last layer is the empty one
+    views = []
     for order in (budgets, budgets[::-1], None, budgets):
         if order is None:
             clear_search_cache()
@@ -428,7 +451,15 @@ def test_classes_grow_from_the_last_class_returned():
             layers = search.layers[: budget + 1]
             assert members == frozenset(itertools.chain.from_iterable(layers)), budget
             assert {id(p) for p in members} == {id(p) for layer in layers for p in layer}
-            assert search.last_class[1] is members
+            _check_class_view(members, layers)
+            views.append((members, layers))
+    # a view asked before its search has grown further is unchanged by it
+    clear_search_cache()
+    early = enumerate_class(ClassSpec(3, 1), 6)
+    classes._search(6, 3).grow(math.inf)
+    views.append((early, classes._search(6, 3).layers[:2]))
+    for members, layers in views:
+        _check_class_view(members, layers)
 
 
 def test_widths_at_or_above_size_share_one_search():

@@ -11,6 +11,7 @@ from duploss import (
     OutOfRangeError,
     Permutation,
     PositionOutOfRangeError,
+    all_permutations,
     ascending_run_partition,
     contains_pattern,
     delete,
@@ -86,6 +87,17 @@ class TestConstruction:
             parse_one_line("1,two,3")
         with pytest.raises(DuplicateValueError):
             parse_one_line("1,1,2")
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_all_permutations_are_checked_permutations(self, n):
+        perms = list(all_permutations(n))
+        assert perms == [Permutation(v) for v in itertools.permutations(range(1, n + 1))]
+        assert all(type(p) is Permutation for p in perms)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, True])
+    def test_all_permutations_rejects_a_bad_size(self, n):
+        with pytest.raises(InvalidParameterError):
+            all_permutations(n)
 
     def test_positions_and_values(self):
         p = Permutation([5, 2, 4, 3, 1, 6])
