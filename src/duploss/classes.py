@@ -11,14 +11,23 @@ avoids a basis iff it is not in the basis and its one-point deletions avoid it.
 
 Exhaustive operations breadth-first-search the successor relation from the
 identity.  Every one of them reaches the memo through ``_search(n, K)``,
-which rejects a negative size, checks the size cap and keys one search by
-(n, min(K, n)), so an infinite width and any width of at least n share the
-search at width n, a ``_LayeredSearch`` on inverse keys.  A class at budget
-p is a read-only set over the search's first p + 1 layers, a ``_ClassView``
-that copies no member and builds no ``Permutation``.  The cap (default 10)
-refuses sizes beyond desk scale, S_11 and up; the DUPLOSS_ENUM_CAP
-environment variable, an integer, is the one override.  Sizes above 256,
-whose positions no longer fit in a byte, are refused whatever the cap says.
+which rejects a negative size and sizes above 256, whose positions no longer
+fit in a byte, and keys one search by (n, min(K, n)), so an infinite width
+and any width of at least n share the search at width n, a
+``_LayeredSearch`` on inverse keys.  A class at budget p is a read-only set
+over the search's first p + 1 layers, a ``_ClassView`` that copies no member
+and builds no ``Permutation``.
+
+The search does its work in ``_LayeredSearch.grow`` only, and that first
+refuses, with ``BudgetExceededError``, a request that may reach more than
+``_MAX_STATES`` = 2^20 states (``_check_states``).  The count is worked out
+before anything is built: with E(n, K) step effects, a budget-p query
+reaches at most min(n!, E^0 + ... + E^p) states, and a distance query at
+most n!.  So a distance query is admitted up to n = 9 and refused from
+n = 10 on (at width 2 or more), while a small budget at narrow width is
+admitted at any size up to 256: (K = 3, p = 2) at n = 256 predicts 582,933
+states.  Between queries the searches are kept, least recently used first,
+while they hold at most ``_MAX_STATES`` states in all.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ import bisect
 import itertools
 import math
 import operator
-import os
 from collections.abc import Set
 from dataclasses import dataclass
 
@@ -37,11 +45,12 @@ from .errors import (
     InvalidParameterError,
     InvalidWidthError,
 )
-from .permutation import Permutation, contains_pattern, delete, descent_count
+from .permutation import Permutation, _as_permutation, contains_pattern, delete, descent_count
 from .steps import (
     _check_effect_count,
     _check_key_size,
     _check_width,
+    _effect_count,
     _moving_both_ends,
     key_states,
     reverse_complements,
@@ -50,7 +59,6 @@ from .steps import (
 )
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
     "ClassSpec",
     "PatternBasis",
     "one_step_blockers",
@@ -64,7 +72,9 @@ __all__ = [
     "clear_search_cache",
 ]
 
-DEFAULT_ENUMERATION_CAP = 10
+# The most states a search may be predicted to reach, and the most the held
+# searches keep between them: S_9 (362,880) fits, S_10 (3,628,800) does not.
+_MAX_STATES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,17 +108,32 @@ def _check_size(n: int) -> None:
     if type(n) is not int or n < 0:
         raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
     _check_key_size(n)
-    env = os.environ.get("DUPLOSS_ENUM_CAP")
-    try:
-        limit = int(env) if env else DEFAULT_ENUMERATION_CAP
-    except ValueError:
-        raise InvalidParameterError(
-            f"DUPLOSS_ENUM_CAP must be an integer, got {env!r}"
-        ) from None
-    if n > limit:
+
+
+def _check_states(n: int, width: int | float, depth: int | float) -> int:
+    """The states a search of size n at width <= ``width`` may reach within
+    ``depth`` layers, min(n!, E^0 + ... + E^depth) for E(n, width) step
+    effects: 1 when E = 0 (width 1), n! when ``depth`` is infinite.  Refuses
+    a count over ``_MAX_STATES`` with ``BudgetExceededError``.  The sum
+    stops once it reaches n! or passes the budget, so it adds at most 20
+    terms whatever ``depth`` is: E >= 2 wherever n! > 2.
+    """
+    effects = _effect_count(n, width)
+    ceiling = math.factorial(n) if effects else 1
+    states = term = 1
+    layers = 0
+    while layers < depth and states < ceiling and states <= _MAX_STATES:
+        term *= effects
+        states += term
+        layers += 1
+    states = min(states, ceiling)
+    if states > _MAX_STATES:
+        within = "any number of" if depth == math.inf else depth
         raise BudgetExceededError(
-            f"size {n} exceeds the enumeration cap {limit}; raise DUPLOSS_ENUM_CAP"
+            f"a search of size {n} at width {width} may reach over {_MAX_STATES} "
+            f"states within {within} steps"
         )
+    return states
 
 
 class _LayeredSearch:
@@ -150,7 +175,10 @@ class _LayeredSearch:
 
     def grow(self, depth: int | float, state: bytes | None = None) -> None:
         """Expand layers until the state keyed ``state`` is found, ``depth``
-        layers lie past the identity or the search is exhausted."""
+        layers lie past the identity or the search is exhausted.  A depth
+        that may reach over ``_MAX_STATES`` states is refused first, before
+        any layer is expanded."""
+        _check_states(self.n, self.width, depth)
         while self.depth < depth and state not in self.dist and self.layers[-1]:
             self._expand_layer()
 
@@ -160,12 +188,19 @@ _searches: dict[tuple[int, int], _LayeredSearch] = {}
 
 def _search(n: int, width_limit: int | float) -> _LayeredSearch:
     """The one memoized search of size n under width limit K (infinity acts
-    as n); refuses negative sizes and sizes beyond the cap."""
+    as n); refuses negative sizes and sizes above 256.  The other searches
+    are dropped, least recently used first, while they and this one hold
+    more than ``_MAX_STATES`` states."""
     _check_size(n)
     key = (n, min(width_limit, n))
-    if key not in _searches:
-        _searches[key] = _LayeredSearch(*key)
-    return _searches[key]
+    search = _searches.pop(key, None)
+    if search is None:
+        search = _LayeredSearch(*key)
+    held = sum(len(s.dist) for s in _searches.values()) + len(search.dist)
+    while held > _MAX_STATES:
+        held -= len(_searches.pop(next(iter(_searches))).dist)
+    _searches[key] = search
+    return search
 
 
 def clear_search_cache() -> None:
@@ -212,6 +247,7 @@ def enumerate_class(spec: ClassSpec, n: int) -> Set[Permutation]:
 
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:
     """Whether ``perm`` is reachable within the spec's budget."""
+    perm = _as_permutation(perm)
     search = _search(len(perm), spec.width_limit)
     key = state_key(perm)
     search.grow(spec.budget, key)
@@ -220,6 +256,7 @@ def is_member(perm: Permutation, spec: ClassSpec) -> bool:
 
 def bfs_min_steps(perm: Permutation, width_limit: int | float) -> int:
     """Minimal number of width-bounded steps building ``perm`` from identity."""
+    perm = _as_permutation(perm)
     _check_width(width_limit, least=1)
     search = _search(len(perm), width_limit)
     key = state_key(perm)
@@ -303,8 +340,10 @@ def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
     ``_extensions``.  Downward closure makes this minimality equivalent to
     pattern-minimality, so the result is an antichain.  Its provenance,
     "brute-force", means found from the class search, not from a theorem.
+    Its largest class is checked against the state budget up front.
     """
     _check_size(max_size)
+    _check_states(max_size, spec.width_limit, spec.budget)
     minimal, smaller = set(), {Permutation(())}
     for n in range(1, max_size + 1):
         members = enumerate_class(spec, n)

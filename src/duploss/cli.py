@@ -11,8 +11,10 @@ Subcommands:
   bench             benchmark campaign with CSV/JSON output
 
 Permutations are given in comma-separated one-line form, e.g. "5,2,4,3,1,6".
-The exhaustive-search size cap (default 10) has one override: the
-DUPLOSS_ENUM_CAP environment variable, an integer.
+An exhaustive search is refused when it may reach more than 2^20 states,
+worked out from the size, width and step budget: "oracle min-steps" runs up
+to size 9, and "class enumerate" and "class member" run at any size up to
+256 while the budget keeps the class small.
 
 Each argument is parsed once, by its argparse type: --width takes an
 integer or "inf", --keep and --sizes comma-separated integers.  The parser

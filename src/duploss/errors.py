@@ -46,7 +46,9 @@ class InfiniteWidthError(DupLossError):
 
 
 class BudgetExceededError(DupLossError):
-    """An exhaustive enumeration would exceed the configured size cap."""
+    """Work refused before it starts for passing one of three fixed bounds:
+    a size above 256, whose positions do not fit in a byte; more than 2^14
+    step effects; or a search predicted to reach more than 2^20 states."""
 
 
 class NoWitnessError(DupLossError):

@@ -119,6 +119,12 @@ class Permutation(tuple):
         return all(v == i + 1 for i, v in enumerate(self))
 
 
+def _as_permutation(perm: Sequence[int]) -> Permutation:
+    """``perm`` itself when it is a ``Permutation``, else the checked
+    ``Permutation`` of its entries, which raises a typed DupLossError."""
+    return perm if isinstance(perm, Permutation) else Permutation(perm)
+
+
 def parse_one_line(text: str) -> Permutation:
     """Parse comma-separated one-line notation; "" is the empty permutation."""
     text = text.strip()

@@ -46,7 +46,7 @@ from operator import add, attrgetter
 from typing import Sequence
 
 from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
-from .permutation import Permutation
+from .permutation import Permutation, _as_permutation
 from .steps import (
     DupLossStep,
     _check_width,
@@ -146,12 +146,6 @@ def _radix_steps(start: int, target: Sequence[int]) -> list[DupLossStep]:
     if col != bytes(sorted(col)):
         raise NotSortedWindowError(f"radix passes at {start} did not build {list(target)}")
     return steps
-
-
-def _as_permutation(target: Sequence[int]) -> Permutation:
-    """``target`` itself when it is a ``Permutation``, else the checked
-    ``Permutation`` of its entries, which raises a typed DupLossError."""
-    return target if isinstance(target, Permutation) else Permutation(target)
 
 
 def radix_scenario(target: Permutation) -> Scenario:

@@ -63,7 +63,7 @@ from .errors import (
     InvalidWidthError,
     WindowOutOfRangeError,
 )
-from .permutation import Permutation, _count_inversions
+from .permutation import Permutation, _as_permutation, _count_inversions
 
 __all__ = [
     "DupLossStep",
@@ -427,13 +427,16 @@ def reverse_complements(keys: Sequence[bytes]) -> list[bytes]:
 def successors(perm: Permutation, width_limit: int | float) -> set[Permutation]:
     """All permutations reachable from ``perm`` in one step of width <= width_limit,
     deduplicated by output; ``perm`` itself is always included (no-op masks).
-    Sizes above ``MAX_KEY_SIZE``, and sizes and widths with over 2^14 step
-    effects, raise ``BudgetExceededError``.
+    A ``perm`` that is not a ``Permutation`` goes through its constructor, so
+    a non-permutation is a typed error.  Sizes above ``MAX_KEY_SIZE``, and
+    sizes and widths with over 2^14 step effects, raise
+    ``BudgetExceededError``.
 
     >>> from .permutation import identity
     >>> sorted(str(p) for p in successors(identity(2), 2))
     ['1,2', '2,1']
     """
+    perm = _as_permutation(perm)
     _check_width(width_limit, least=1)
     n = len(perm)
     _check_key_size(n)

@@ -12,9 +12,13 @@ import pytest
 from duploss import (
     BudgetExceededError,
     ClassSpec,
+    DuplicateValueError,
     InfiniteWidthError,
+    InvalidParameterError,
     InvalidWidthError,
+    OutOfRangeError,
     Permutation,
+    all_permutations,
     basis_to_json,
     bfs_min_steps,
     contains_pattern,
@@ -27,8 +31,9 @@ from duploss import (
     minimal_forbidden_basis,
     one_step_basis,
     one_step_blockers,
+    successors,
 )
-from duploss import classes, verify
+from duploss import classes, steps, verify
 from duploss.classes import _extensions, clear_search_cache
 from duploss.steps import _effect_count, reverse_complements, state_key
 from helpers import (
@@ -166,16 +171,6 @@ class TestEnumerate:
                     small = enumerate_class(ClassSpec(width, budget), n)
                     assert small <= enumerate_class(ClassSpec(width, budget + 1), n)
                     assert small <= enumerate_class(ClassSpec(width + 1, budget), n)
-
-    def test_cap_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            enumerate_class(ClassSpec(2, 1), 11)
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("DUPLOSS_ENUM_CAP", "3")
-        with pytest.raises(BudgetExceededError):
-            enumerate_class(ClassSpec(2, 1), 4)
-        assert enumerate_class(ClassSpec(2, 1), 3)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidWidthError):
@@ -511,10 +506,9 @@ def test_layer_order_does_not_depend_on_the_hash_seed():
 
 class TestByteBound:
     """Inverse keys hold a position per byte, so sizes above 256 are refused
-    with a typed error, whatever the enumeration cap says."""
+    with a typed error."""
 
-    def test_search_refuses_above_the_byte_bound(self, monkeypatch):
-        monkeypatch.setenv("DUPLOSS_ENUM_CAP", "1000")
+    def test_search_refuses_above_the_byte_bound(self):
         with pytest.raises(BudgetExceededError, match="exceeds 256"):
             classes._search(257, 3)
         with pytest.raises(BudgetExceededError, match="exceeds 256"):
@@ -522,6 +516,81 @@ class TestByteBound:
         assert classes._search(256, 3).layers == [[identity(256)]]
         assert is_member(identity(256), ClassSpec(3, 0))
 
-    def test_search_refusal_names_the_byte_bound_under_the_default_cap(self):
+    def test_search_refusal_names_the_byte_bound_before_the_state_budget(self):
         with pytest.raises(BudgetExceededError, match="exceeds 256"):
-            enumerate_class(ClassSpec(3, 0), 300)
+            enumerate_class(ClassSpec(3, 10**9), 300)
+
+
+class TestStateBudget:
+    """A search is refused, before it expands a layer, when it may reach more
+    than ``classes._MAX_STATES`` states: min(n!, E^0 + ... + E^p) for a
+    budget p and E(n, K) step effects, n! for a distance query."""
+
+    def test_prediction_bounds_every_class(self):
+        for n in range(8):
+            for width in range(2, max(n, 2) + 1):
+                search = classes._search(n, width)
+                search.grow(math.inf)
+                for budget in range(search.depth + 1):
+                    members = enumerate_class(ClassSpec(width, budget), n)
+                    assert classes._check_states(n, width, budget) >= len(members)
+                assert classes._check_states(n, width, 1) == 1 + _effect_count(n, width)
+                assert classes._check_states(n, width, math.inf) == math.factorial(n)
+
+    def test_width_one_predicts_the_identity_alone(self):
+        assert classes._check_states(10, 1, math.inf) == 1
+        with pytest.raises(InvalidWidthError, match="unreachable at width 1"):
+            bfs_min_steps(P(2, 1, 3, 4, 5, 6, 7, 8, 9, 10), 1)
+
+    def test_size_ten_searches_are_refused_before_any_layer(self):
+        clear_search_cache()
+        held = set(steps._held_effects)
+        with pytest.raises(BudgetExceededError, match="over 1048576 states"):
+            enumerate_class(ClassSpec(10, 10), 10)
+        with pytest.raises(BudgetExceededError, match="within any number of steps"):
+            bfs_min_steps(P(2, 1, 3, 4, 5, 6, 7, 8, 9, 10), 3)
+        assert classes._search(10, 10).depth == 0
+        assert classes._search(10, 3).depth == 0
+        assert set(steps._held_effects) == held
+
+    def test_small_budgets_are_searched_past_size_ten(self):
+        # (K, p) = (3, 2): (9n^2 - 27n + 4) / 2 members; (2, 2): (n^2 + n - 2) / 2
+        assert len(enumerate_class(ClassSpec(3, 2), 30)) == 3647
+        assert len(enumerate_class(ClassSpec(2, 2), 34)) == 594
+        assert is_member(P(2, 1, 4, 3, *range(5, 31)), ClassSpec(2, 2))
+
+    def test_a_huge_budget_stops_at_the_diameter(self):
+        members = enumerate_class(ClassSpec(3, 10**9), 5)
+        assert members == frozenset(all_permutations(5))
+        assert is_member(P(5, 4, 3, 2, 1), ClassSpec(3, 10**9))
+
+    def test_held_searches_are_evicted_least_recently_used_first(self, monkeypatch):
+        monkeypatch.setattr(classes, "_MAX_STATES", 200)
+        clear_search_cache()
+        held = []
+        for width in (2, 3, 4, 5):
+            enumerate_class(ClassSpec(width, 10), 5)  # all 120 states of S_5
+            held.append((5, width))
+            assert list(classes._searches) == held[-2:]
+        # the search asked is kept, and the other one dropped
+        search = classes._search(5, 4)
+        assert list(classes._searches) == [(5, 4)] and len(search.dist) == 120
+        with pytest.raises(BudgetExceededError, match="over 200 states"):
+            enumerate_class(ClassSpec(3, 10), 6)
+
+
+@pytest.mark.parametrize("query", [
+    lambda perm: bfs_min_steps(perm, 3),
+    lambda perm: is_member(perm, ClassSpec(3, 2)),
+    lambda perm: successors(perm, 2),
+], ids=["bfs_min_steps", "is_member", "successors"])
+@pytest.mark.parametrize("perm, error", [
+    ((3, 1, 2, 9), OutOfRangeError),
+    ((0, 1, 2), OutOfRangeError),
+    ([1, 1, 2], DuplicateValueError),
+    ([1, 1], DuplicateValueError),
+    (5, InvalidParameterError),
+], ids=["value-past-n", "value-zero", "repeat", "short-repeat", "not-iterable"])
+def test_search_queries_refuse_non_permutations(query, perm, error):
+    with pytest.raises(error):
+        query(perm)

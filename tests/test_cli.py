@@ -58,6 +58,13 @@ class TestClass:
         assert code == 0
         assert out.split() == ["1,2,3", "1,3,2", "2,1,3"]
 
+    def test_enumerate_a_small_budget_past_size_ten(self, capsys):
+        code, out = run_cli(
+            capsys, "class", "enumerate", "--width", "3", "--steps", "2", "--size", "30",
+        )
+        assert code == 0
+        assert len(out.split()) == 3647
+
     def test_theorem_basis(self, capsys):
         code, out = run_cli(
             capsys, "class", "basis", "--width", "4", "--steps", "1", "--theorem",
@@ -161,10 +168,9 @@ class TestErrors:
         argv = ["bench", "--policy", "8", "--sizes", "8", "--samples", "1"]
         self.test_library_error_is_one_stderr_line(capsys, argv, "VerificationError")
 
-    def test_non_integer_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DUPLOSS_ENUM_CAP", "abc")
-        argv = ["class", "enumerate", "--width", "2", "--steps", "1", "--size", "3"]
-        self.test_library_error_is_one_stderr_line(capsys, argv, "InvalidParameterError")
+    def test_search_past_the_state_budget(self, capsys):
+        argv = ["oracle", "min-steps", "--perm", "2,1,3,4,5,6,7,8,9,10", "--width", "3"]
+        self.test_library_error_is_one_stderr_line(capsys, argv, "BudgetExceededError")
 
 
 class TestCachedParser:
