@@ -12,8 +12,11 @@ Conventions used throughout the package:
 - The text form is comma-separated one-line notation, e.g. ``"5,2,4,3,1,6"``.
 
 All operations are pure; ``Permutation`` objects are immutable and hashable.
-Functions that index entries in a loop first take ``tuple(perm)``: CPython
-specializes indexing for exact tuples only.
+Functions that index entries in a loop first make an exact ``tuple`` of the
+entries, since CPython specializes indexing for exact tuples only:
+``tuple(perm)`` for any sequence, or ``perm[:]`` for a ``Permutation``,
+which copies the entries without the generic iteration ``tuple()`` takes on
+a subclass.
 
 Pattern containment reads, per pattern, a plan of which earlier entries
 bound each entry from below and above, and by how many values at least
@@ -24,7 +27,8 @@ only in a host of exactly 1..n, so a host or pattern that is not a
 ``Permutation`` goes through the ``Permutation`` constructor first.  Each
 pattern is compiled from its plan into a matcher with one nested loop per
 entry, split into chained functions of at most ``_MAX_NEST`` loops each,
-and kept in a bounded cache (``_matcher``).
+and held in the dict ``_matchers``, which drops its oldest entry first once
+it holds ``_MAX_MATCHERS``.
 """
 
 from __future__ import annotations
@@ -201,10 +205,13 @@ def inversions(perm: Permutation) -> int:
     2^12-value blocks by ``_count_inversions``: C work on at most 4096 bits
     per entry, plus a pass over the block labels once n >= 4096.
 
+    A sequence that is not a ``Permutation`` goes through its constructor
+    first, so one that is not a permutation raises its typed error.
+
     >>> inversions(Permutation([5, 2, 4, 3, 1, 6]))
     8
     """
-    return _count_inversions(perm)
+    return _count_inversions(_as_permutation(perm))
 
 
 def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
@@ -278,14 +285,16 @@ def _bounds_test(d: int, floor: int, ceiling: int, below: int, above: int) -> st
 
 
 def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
-    """The source of ``match(h)``, True iff the tuple ``h``, a permutation of
-    1..n, contains the pattern planned by ``plan``: one loop per depth d over
-    the host indices that leave room for the depths after it, the last one
-    over a slice of the values, each testing its value v_d against the
-    bounds of its gaps from the values matched at its floor and ceiling (see
-    ``_pattern_plan``).  After every ``_MAX_NEST`` depths d the innermost
-    body calls ``match{d}(h, n, i{d-1}, v0, ..., v{d-1})``, which holds the
-    next depths.  For 321, v0 needs two smaller values after it, and v1 one:
+    """The source of ``match(h)``, True iff the exact ``tuple`` ``h`` (the
+    ``host[:]`` that ``contains_pattern`` passes, so that its indexing is
+    specialized), a permutation of 1..n, contains the pattern planned by
+    ``plan``: one loop per depth d over the host indices that leave room for
+    the depths after it, the last one over a slice of the values, each
+    testing its value v_d against the bounds of its gaps from the values
+    matched at its floor and ceiling (see ``_pattern_plan``).  After every
+    ``_MAX_NEST`` depths d the innermost body calls
+    ``match{d}(h, n, i{d-1}, v0, ..., v{d-1})``, which holds the next depths.
+    For 321, v0 needs two smaller values after it, and v1 one:
 
     >>> print(_matcher_source(_pattern_plan(Permutation([3, 2, 1]))), end="")
     def match(h):
@@ -324,18 +333,27 @@ def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=1024)
+# Compiled matchers by pattern, at most ``_MAX_MATCHERS`` of them; a miss
+# that finds the dict full drops the oldest entry first.
+_MAX_MATCHERS = 1024
+_matchers: dict[Permutation, Callable[[tuple[int, ...]], bool]] = {}
+
+
 def _matcher(pattern: Permutation) -> Callable[[tuple[int, ...]], bool]:
     """The containment test of the ``Permutation`` ``pattern`` on a host
     tuple of 1..n: ``match`` compiled from ``_matcher_source``, with the
-    functions it chains to in the same namespace.  Compiling takes tens to
-    hundreds of microseconds, growing with the size, once per pattern while
-    it stays in this bounded cache; a matcher holds a few kilobytes.
+    functions it chains to in the same namespace, stored in ``_matchers``.
+    Compiling takes tens to hundreds of microseconds, growing with the size,
+    so ``contains_pattern`` calls this only for a pattern not held; a
+    matcher holds a few kilobytes.
     """
     namespace: dict = {}
     source = _matcher_source(_pattern_plan(pattern))
     exec(compile(source, f"<matcher of {pattern}>", "exec"), namespace)
-    return namespace["match"]
+    while len(_matchers) >= _MAX_MATCHERS:
+        del _matchers[next(iter(_matchers))]
+    match = _matchers[pattern] = namespace["match"]
+    return match
 
 
 def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -357,7 +375,9 @@ def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
     two comparisons, whatever the depth, and even depth 0 skips the values
     that cannot begin an occurrence.  Each pattern's plan is compiled once
     into a matcher with one nested loop per entry (see ``_matcher``) that
-    stops at the first full match.
+    stops at the first full match; a held pattern costs one dict lookup.
+    The matcher gets ``host[:]``, an exact ``tuple``, whose indexing CPython
+    specializes.
 
     >>> contains_pattern(Permutation([1, 4, 2, 5, 6, 3]), Permutation([1, 3, 4, 2]))
     True
@@ -368,17 +388,25 @@ def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
         pattern = Permutation(pattern)
     if not isinstance(host, Permutation):
         host = Permutation(host)
-    return _matcher(pattern)(tuple(host))
+    match = _matchers.get(pattern)
+    if match is None:
+        match = _matcher(pattern)
+    return match(host[:])
 
 
 def delete(perm: Permutation, position: int) -> Permutation:
     """Remove the entry at ``position`` and rank-normalize the survivors.
 
-    The result is always a pattern of ``perm``.
+    The result is always a pattern of ``perm``.  A sequence that is not a
+    ``Permutation`` goes through its constructor first, so one that is not a
+    permutation raises its typed error.
 
     >>> delete(Permutation([4, 1, 2, 3, 5, 7, 6]), 5)
     Permutation([4, 1, 2, 3, 6, 5])
+    >>> delete([3, 1, 2], 2)
+    Permutation([2, 1])
     """
+    perm = _as_permutation(perm)
     removed = perm.value_at(position)
     # a permutation by construction, so wrapped without re-checking each entry
     return tuple.__new__(

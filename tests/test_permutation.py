@@ -24,6 +24,7 @@ from duploss import (
     random_permutation,
     reversed_identity,
 )
+from duploss import permutation
 from duploss.permutation import _matcher, _pattern_plan
 from helpers import (
     backtrack_contains,
@@ -139,6 +140,15 @@ class TestStatistics:
         for n in range(7):
             assert inversions(identity(n)) == 0
             assert inversions(reversed_identity(n)) == n * (n - 1) // 2
+
+    def test_inversions_of_a_plain_sequence(self):
+        assert inversions([3, 1, 2]) == inversions((3, 1, 2)) == 2
+        with pytest.raises(DuplicateValueError):
+            inversions((1, 1))
+        with pytest.raises(OutOfRangeError):
+            inversions([2, 3])
+        with pytest.raises(InvalidParameterError):
+            inversions(None)
 
 
 class TestInversionsAgainstAllPairs:
@@ -399,8 +409,29 @@ class TestPatterns:
         assert not contains_pattern(identity(2), identity(3))
         assert not contains_pattern(Permutation(()), Permutation([1]))
 
-    def test_matcher_cache_is_bounded(self):
-        assert _matcher.cache_info().maxsize is not None
+    def test_matcher_cache_is_bounded(self, monkeypatch):
+        # With room for 8 matchers, ask 24 patterns three times over, each
+        # round on a new host and in a new order, then 4 held ones and 10
+        # evicted ones again: the dict holds the last 8 patterns first asked,
+        # in the order of asking, a hit keeps its matcher and its place, and
+        # every answer equals the backtracking oracle.
+        monkeypatch.setattr(permutation, "_MAX_MATCHERS", 8)
+        monkeypatch.setattr(permutation, "_matchers", {})
+        rng = random.Random(33)
+        patterns = [Permutation(v) for v in itertools.permutations(range(1, 5))]
+        model: list = []
+        for _ in range(3):
+            host = random_permutation(9, rng.randrange(1000))
+            rng.shuffle(patterns)
+            for patt in patterns + patterns[-4:] + patterns[:10]:
+                held = permutation._matchers.get(patt)
+                assert contains_pattern(host, patt) == backtrack_contains(host, patt)
+                if held is None:
+                    model.append(patt)
+                    del model[:-8]
+                else:
+                    assert permutation._matchers[patt] is held
+                assert list(permutation._matchers) == model
 
     def test_transitivity_spot_check(self):
         rng = random.Random(7)
@@ -431,6 +462,30 @@ class TestDelete:
             delete(identity(3), 4)
         with pytest.raises(PositionOutOfRangeError):
             delete(identity(3), 0)
+
+    def test_plain_sequence_answers_as_its_permutation(self):
+        for vals in itertools.permutations(range(1, 5)):
+            for pos in range(1, 5):
+                want = delete(Permutation(vals), pos)
+                for seq in (vals, list(vals)):
+                    got = delete(seq, pos)
+                    assert type(got) is Permutation and got == want
+        assert delete((3, 1, 2), 1) == Permutation([1, 2])
+        assert delete([3, 1, 2], 2) == Permutation([2, 1])
+
+    @pytest.mark.parametrize(
+        "perm, error",
+        [
+            ((1, 1), DuplicateValueError),
+            ([0, 1], OutOfRangeError),
+            ((1, 2.0), OutOfRangeError),
+            (5, InvalidParameterError),
+            (None, InvalidParameterError),
+        ],
+    )
+    def test_non_permutation_raises_the_constructor_error(self, perm, error):
+        with pytest.raises(error):
+            delete(perm, 1)
 
     def test_matches_the_checked_constructor_through_s7(self):
         for n in range(1, 8):
