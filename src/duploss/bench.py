@@ -18,7 +18,14 @@ import time
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, VerificationError
-from .permutation import Permutation, _values, descent_count, inversions, reversed_identity
+from .permutation import (
+    Permutation,
+    _check_size,
+    _values,
+    descent_count,
+    inversions,
+    reversed_identity,
+)
 from .scenarios import bucket_scenario, replay
 from .steps import _check_width
 
@@ -114,8 +121,7 @@ def _lower_bound(n: int, d: int, inv: int, width_limit: int) -> int:
 def lower_bound_steps(n: int, width_limit: int) -> int:
     """Steps certifiably necessary for the worst permutation of size n: the
     bound of a permutation with n - 1 descents and n(n-1)/2 inversions."""
-    if type(n) is not int or n < 0:
-        raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
+    _check_size(n)
     return _lower_bound(n, n - 1, n * (n - 1) // 2, width_limit)
 
 

@@ -14,9 +14,9 @@ identity.  Every one of them reaches the memo through ``_search(n, K)``,
 which rejects a negative size and sizes above 256, whose positions no longer
 fit in a byte, and keys one search by (n, min(K, n)), so an infinite width
 and any width of at least n share the search at width n, a
-``_LayeredSearch`` on inverse keys.  A class at budget p is a read-only set
-over the search's first p + 1 layers, a ``_ClassView`` that copies no member
-and builds no ``Permutation``.
+``_LayeredSearch`` that holds each state as its inverse key only.  A class at
+budget p is a read-only set, a ``_ClassView``, over the ``Permutation``s of
+the first p + 1 layers, built once per layer; other queries build none.
 
 The search does its work in ``_LayeredSearch.grow`` only, and that first
 refuses, with ``BudgetExceededError``, a request that may reach more than
@@ -104,12 +104,6 @@ class PatternBasis:
         return sorted(self.patterns, key=lambda p: (len(p), p))
 
 
-def _check_size(n: int) -> None:
-    if type(n) is not int or n < 0:
-        raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
-    _check_key_size(n)
-
-
 def _check_states(n: int, width: int | float, depth: int | float) -> int:
     """The states a search of size n at width <= ``width`` may reach within
     ``depth`` layers, min(n!, E^0 + ... + E^depth) for E(n, width) step
@@ -139,16 +133,15 @@ def _check_states(n: int, width: int | float, depth: int | float) -> int:
 class _LayeredSearch:
     """Breadth-first layers of the successor relation from identity(n).
 
-    The memo is keyed by inverse keys (``steps.state_key``): ``dist`` maps
-    each visited state's key to its step distance, and ``frontier`` holds
-    the keys of the last layer, sorted.  Every layer is closed under
-    reverse-complement (``steps.reverse_complements``), so a layer is
+    ``layers[d]`` lists the inverse keys (``steps.state_key``) at distance
+    d, sorted, and ``dist`` maps each key to its distance, filled in that
+    order.  Every layer is closed under reverse-complement, so a layer is
     expanded by one call of ``steps.successor_values`` on the keys x with
-    x <= rc(x); the new keys N and rc(N) make the next layer.
-    ``layers[d]`` lists the states at distance d, one ``Permutation`` each,
-    built once from its key when the state is found.  Layers are expanded
-    on demand and kept, so later queries at the same (n, width) reuse all
-    earlier work; an empty last layer means the search is exhausted.
+    x <= rc(x); the new keys N and rc(N) make the next layer.  Only
+    ``enumerate_class`` builds ``members[d]``, the ``Permutation``s of
+    ``layers[d]`` in order.  Layers are expanded on demand and kept, so
+    later queries at the same (n, width) reuse all earlier work; an empty
+    last layer means the search is exhausted.
     """
 
     def __init__(self, n: int, width: int):
@@ -156,22 +149,22 @@ class _LayeredSearch:
         self.width = width
         start = state_key(range(1, n + 1))
         self.dist: dict[bytes, int] = {start: 0}
-        self.frontier: list[bytes] = [start]
-        self.layers: list[list[Permutation]] = [key_states(self.frontier, n)]
+        self.layers: list[list[bytes]] = [[start]]
+        self.members: list[list[Permutation]] = []
 
     @property
     def depth(self) -> int:
         return len(self.layers) - 1
 
     def _expand_layer(self) -> None:
-        keys = self.frontier
+        keys = self.layers[-1]
         reps = list(itertools.compress(keys, map(operator.le, keys, reverse_complements(keys))))
         new = successor_values(reps, self.width).difference(self.dist)
         if new:
             new.update(reverse_complements(list(new)))
-        self.frontier = sorted(new)
-        self.dist.update(dict.fromkeys(self.frontier, len(self.layers)))
-        self.layers.append(key_states(self.frontier, self.n))
+        keys = sorted(new)
+        self.dist.update(dict.fromkeys(keys, len(self.layers)))
+        self.layers.append(keys)
 
     def grow(self, depth: int | float, state: bytes | None = None) -> None:
         """Expand layers until the state keyed ``state`` is found, ``depth``
@@ -191,7 +184,7 @@ def _search(n: int, width_limit: int | float) -> _LayeredSearch:
     as n); refuses negative sizes and sizes above 256.  The other searches
     are dropped, least recently used first, while they and this one hold
     more than ``_MAX_STATES`` states."""
-    _check_size(n)
+    _check_key_size(n)
     key = (n, min(width_limit, n))
     search = _searches.pop(key, None)
     if search is None:
@@ -209,7 +202,7 @@ def clear_search_cache() -> None:
 
 class _ClassView(Set):
     """The members of some search layers, as a read-only set that iterates
-    the layers' own objects.  It is equal and hash-equal to the frozenset
+    the member lists' own objects.  It is equal and hash-equal to the frozenset
     of its members, and its set operators return frozensets.  Membership
     asks that frozenset, built on the first test, so it answers as the
     frozenset does: a plain tuple equal to a member is in, an unhashable
@@ -238,11 +231,13 @@ class _ClassView(Set):
 
 def enumerate_class(spec: ClassSpec, n: int) -> Set[Permutation]:
     """All size-n permutations reachable within the spec's budget, as a
-    read-only set over the search's first budget + 1 layers (``_ClassView``).
-    Nothing is copied: later growth of the search leaves it unchanged."""
+    read-only set over the search's first budget + 1 member lists, each built
+    once (``_ClassView``).  Later growth of the search leaves it unchanged."""
     search = _search(n, spec.width_limit)
     search.grow(spec.budget)
-    return _ClassView(search.layers[: spec.budget + 1])
+    members = search.members
+    members += [key_states(keys, n) for keys in search.layers[len(members) : spec.budget + 1]]
+    return _ClassView(members[: spec.budget + 1])
 
 
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:
@@ -342,7 +337,7 @@ def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
     "brute-force", means found from the class search, not from a theorem.
     Its largest class is checked against the state budget up front.
     """
-    _check_size(max_size)
+    _check_key_size(max_size)
     _check_states(max_size, spec.width_limit, spec.budget)
     minimal, smaller = set(), {Permutation(())}
     for n in range(1, max_size + 1):

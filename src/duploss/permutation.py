@@ -12,11 +12,11 @@ Conventions used throughout the package:
 - The text form is comma-separated one-line notation, e.g. ``"5,2,4,3,1,6"``.
 
 All operations are pure; ``Permutation`` objects are immutable and hashable.
-Functions that index entries in a loop first make an exact ``tuple`` of the
-entries, since CPython specializes indexing for exact tuples only:
-``tuple(perm)`` for any sequence, or ``perm[:]`` for a ``Permutation``,
-which copies the entries without the generic iteration ``tuple()`` takes on
-a subclass.
+A function given a sequence that is not a ``Permutation`` passes it through
+the constructor first (``_as_permutation``), so one that is not a
+permutation raises its typed error.  Functions that index entries in a loop
+then copy them with ``perm[:]``, an exact ``tuple``, since CPython
+specializes indexing for exact tuples only.
 
 Pattern containment reads, per pattern, a plan of which earlier entries
 bound each entry from below and above, and by how many values at least
@@ -141,10 +141,15 @@ def parse_one_line(text: str) -> Permutation:
     return Permutation(vals)
 
 
-def _values(n: int) -> range:
-    """1..n, for a size n that must be an integer >= 0."""
+def _check_size(n: int) -> None:
+    """The one rule for a size n: an exact ``int`` >= 0 (no ``bool``)."""
     if type(n) is not int or n < 0:
         raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
+
+
+def _values(n: int) -> range:
+    """1..n, for a size n that must be an integer >= 0."""
+    _check_size(n)
     return range(1, n + 1)
 
 
@@ -163,12 +168,12 @@ def descents(perm: Permutation) -> set[int]:
     >>> sorted(descents(Permutation([5, 2, 4, 3, 1, 6])))
     [1, 3, 4]
     """
-    v = tuple(perm)
+    v = _as_permutation(perm)[:]
     return {i + 1 for i in range(len(v) - 1) if v[i] > v[i + 1]}
 
 
 def descent_count(perm: Permutation) -> int:
-    v = tuple(perm)
+    v = _as_permutation(perm)[:]
     return sum(map(operator.gt, v, v[1:]))
 
 
@@ -205,9 +210,6 @@ def inversions(perm: Permutation) -> int:
     2^12-value blocks by ``_count_inversions``: C work on at most 4096 bits
     per entry, plus a pass over the block labels once n >= 4096.
 
-    A sequence that is not a ``Permutation`` goes through its constructor
-    first, so one that is not a permutation raises its typed error.
-
     >>> inversions(Permutation([5, 2, 4, 3, 1, 6]))
     8
     """
@@ -222,10 +224,10 @@ def ascending_run_partition(perm: Permutation) -> list[tuple[int, int]]:
     >>> ascending_run_partition(Permutation([5, 2, 4, 3, 1, 6]))
     [(1, 1), (2, 3), (4, 4), (5, 6)]
     """
-    n = len(perm)
-    if n == 0:
+    perm = _as_permutation(perm)
+    if not perm:
         return []
-    cuts = [0, *sorted(descents(perm)), n]
+    cuts = [0, *sorted(descents(perm)), len(perm)]
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -397,9 +399,7 @@ def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
 def delete(perm: Permutation, position: int) -> Permutation:
     """Remove the entry at ``position`` and rank-normalize the survivors.
 
-    The result is always a pattern of ``perm``.  A sequence that is not a
-    ``Permutation`` goes through its constructor first, so one that is not a
-    permutation raises its typed error.
+    The result is always a pattern of ``perm``.
 
     >>> delete(Permutation([4, 1, 2, 3, 5, 7, 6]), 5)
     Permutation([4, 1, 2, 3, 6, 5])

@@ -46,7 +46,7 @@ from operator import add, attrgetter
 from typing import Sequence
 
 from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
-from .permutation import Permutation, _as_permutation
+from .permutation import Permutation, _as_permutation, _check_size
 from .steps import (
     DupLossStep,
     _check_width,
@@ -81,8 +81,7 @@ class Scenario:
     steps: tuple[DupLossStep, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise InvalidParameterError(f"size must be an integer >= 0, got {self.n!r}")
+        _check_size(self.n)
         _check_width(self.width_limit, least=1)
         try:
             steps = tuple(self.steps)
@@ -160,8 +159,7 @@ def bucket_windows(n: int, width_limit: int | float) -> list[tuple[int, int]]:
     """The block decomposition of positions 1..n used by the bucket generator,
     left to right: a remainder block of width <= K, then floor(K/2)-wide blocks
     anchored at the right end."""
-    if type(n) is not int or n < 0:
-        raise InvalidParameterError(f"size must be an integer >= 0, got {n!r}")
+    _check_size(n)
     _check_width(width_limit)
     if n == 0:
         return []

@@ -63,7 +63,7 @@ from .errors import (
     InvalidWidthError,
     WindowOutOfRangeError,
 )
-from .permutation import Permutation, _as_permutation, _count_inversions
+from .permutation import Permutation, _as_permutation, _check_size, _count_inversions
 
 __all__ = [
     "DupLossStep",
@@ -273,7 +273,8 @@ _MAX_EFFECTS = 1 << 14
 
 
 def _check_key_size(n: int) -> None:
-    """The one bound on sizes the inverse keys can hold."""
+    """The one bound on sizes the inverse keys can hold, past ``_check_size``."""
+    _check_size(n)
     if n > MAX_KEY_SIZE:
         raise BudgetExceededError(
             f"size {n} exceeds {MAX_KEY_SIZE}, the largest size whose positions fit in a byte"

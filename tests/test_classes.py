@@ -35,7 +35,7 @@ from duploss import (
 )
 from duploss import classes, steps, verify
 from duploss.classes import _extensions, clear_search_cache
-from duploss.steps import _effect_count, reverse_complements, state_key
+from duploss.steps import _effect_count, key_states, reverse_complements, state_key
 from helpers import (
     backtrack_contains,
     brute_distances,
@@ -262,7 +262,7 @@ class TestDeletionLayers:
         spec = ClassSpec(3, search.depth - 1 - below)  # the last layer is the empty one
         basis = minimal_forbidden_basis(spec, 7).patterns
         assert basis == scan_minimal_forbidden_basis(spec, 7)
-        assert basis == set(search.layers[-2] if below else ())
+        assert basis == set(key_states(search.layers[-2], 7) if below else ())
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_avoider_layers_match_a_backtracking_scan(self, width):
@@ -383,8 +383,7 @@ class TestReverseComplementHalving:
     def _check(search, oracle):
         assert search.dist == {key: d for d, layer in enumerate(oracle) for key in layer}
         assert len(search.layers) == len(oracle)
-        for layer, want in zip(search.layers, oracle):
-            keys = [state_key(state) for state in layer]
+        for keys, want in zip(search.layers, oracle):
             assert keys == sorted(keys) and set(keys) == set(want)
             assert not keys or set(reverse_complements(keys)) == set(keys)
 
@@ -399,20 +398,24 @@ class TestReverseComplementHalving:
             if n < 7 or width == 2:  # brute force on S_7 takes seconds per width
                 if search.width not in brute:
                     brute[search.width] = brute_distances(n, width)
-                states = {tuple(p): d for d, layer in enumerate(search.layers) for p in layer}
+                states = {
+                    tuple(p): d
+                    for d, keys in enumerate(search.layers) for p in key_states(keys, n)
+                }
                 assert states == brute[search.width], width
 
     def test_s8_at_width_three(self):
         self._check(self._full_search(8, 3), per_key_layers(state_key(range(1, 9)), 3))
 
 
-def _check_class_view(members, layers):
-    """``members`` is a read-only set over ``layers``: equal and hash-equal
-    to the frozenset of their objects, iterating those very objects, with
-    frozenset membership and frozenset results from the set operators."""
-    frozen = frozenset(itertools.chain.from_iterable(layers))
+def _check_class_view(members, lists):
+    """``members`` is a read-only set over the member ``lists``: equal and
+    hash-equal to the frozenset of their objects, iterating those very
+    objects, with frozenset membership and frozenset results from the set
+    operators."""
+    frozen = frozenset(itertools.chain.from_iterable(lists))
     assert members == frozen and frozen == members and hash(members) == hash(frozen)
-    assert sorted(map(id, members)) == sorted(id(p) for layer in layers for p in layer)
+    assert sorted(map(id, members)) == sorted(id(p) for layer in lists for p in layer)
     some = next(iter(members))
     assert some in members and tuple(some) in members
     assert (*some, len(some) + 1) not in members
@@ -429,8 +432,9 @@ def _check_class_view(members, layers):
 
 def test_classes_grow_from_the_last_class_returned():
     # budgets 0..diameter+1 rising, then falling, then rising after a clear;
-    # each answer is the from-scratch union, a view of the layers' objects
-    # that later growth and clears leave unchanged
+    # each answer is the from-scratch union, a view of the member lists'
+    # objects that later growth and clears leave unchanged, and each list
+    # is built once, from its key layer, when a class first reaches it
     clear_search_cache()
     search = classes._search(6, 3)
     search.grow(math.inf)
@@ -440,21 +444,26 @@ def test_classes_grow_from_the_last_class_returned():
         if order is None:
             clear_search_cache()
             continue
+        built = list(classes._search(6, 3).members)
         for budget in order:
             members = enumerate_class(ClassSpec(3, budget), 6)
             search = classes._search(6, 3)
-            layers = search.layers[: budget + 1]
-            assert members == frozenset(itertools.chain.from_iterable(layers)), budget
-            assert {id(p) for p in members} == {id(p) for layer in layers for p in layer}
-            _check_class_view(members, layers)
-            views.append((members, layers))
+            lists = search.members[: budget + 1]
+            assert len(search.members) == max(len(built), budget + 1)
+            assert all(old is new for old, new in zip(built, search.members))
+            built = list(search.members)
+            assert [list(map(state_key, m)) for m in lists] == search.layers[: budget + 1]
+            assert members == frozenset(itertools.chain.from_iterable(lists)), budget
+            _check_class_view(members, lists)
+            views.append((members, lists))
     # a view asked before its search has grown further is unchanged by it
     clear_search_cache()
     early = enumerate_class(ClassSpec(3, 1), 6)
     classes._search(6, 3).grow(math.inf)
-    views.append((early, classes._search(6, 3).layers[:2]))
-    for members, layers in views:
-        _check_class_view(members, layers)
+    assert len(classes._search(6, 3).members) == 2
+    views.append((early, classes._search(6, 3).members[:2]))
+    for members, lists in views:
+        _check_class_view(members, lists)
 
 
 def test_widths_at_or_above_size_share_one_search():
@@ -471,23 +480,38 @@ def test_each_state_is_one_permutation_object():
     clear_search_cache()
     search = classes._search(5, 3)
     search.grow(math.inf)
-    entries = {id(p): p for layer in search.layers for p in layer}
+    members = enumerate_class(ClassSpec(3, search.depth), 5)
+    entries = {id(p): p for layer in search.members for p in layer}
     assert len(search.dist) == len(entries) == len(set(entries.values())) == math.factorial(5)
-    for depth, layer in enumerate(search.layers):
+    for depth, (layer, keys) in enumerate(zip(search.members, search.layers, strict=True)):
+        assert [state_key(state) for state in layer] == keys
         for state in layer:
             assert type(state) is Permutation
             assert search.dist[state_key(state)] == depth
-    # the classes share the layers' objects
-    members = enumerate_class(ClassSpec(3, search.depth), 5)
-    assert all(entries.get(id(state)) is state for state in members)
+    # every class shares the member lists' objects
+    smaller = enumerate_class(ClassSpec(3, 2), 5)
+    assert all(entries.get(id(state)) is state for state in itertools.chain(members, smaller))
+
+
+def test_distance_and_membership_queries_build_no_member_list(monkeypatch):
+    def refuse(keys, n):
+        raise AssertionError("a query built a member list")
+
+    clear_search_cache()
+    monkeypatch.setattr(classes, "key_states", refuse)
+    assert bfs_min_steps(P(8, 7, 6, 5, 4, 3, 2, 1), 3) > 0
+    assert not is_member(P(2, 1, 4, 3, 6, 5, 8, 7, 10, 9, *range(11, 65)), ClassSpec(3, 2))
+    assert [search.members for search in classes._searches.values()] == [[], []]
 
 
 LAYERS_SCRIPT = """
 import math
-from duploss import classes
+from duploss import ClassSpec, classes, enumerate_class
 search = classes._search(6, 3)
 search.grow(math.inf)
-print([[tuple(state) for state in layer] for layer in search.layers])
+print(search.layers)
+print(list(search.dist))
+print([[tuple(p) for p in enumerate_class(ClassSpec(3, d), 6)] for d in range(search.depth + 1)])
 """
 
 
@@ -501,7 +525,12 @@ def test_layer_order_does_not_depend_on_the_hash_seed():
         )
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
-    assert len(ast.literal_eval(outputs[0])[1]) > 1  # an order to get wrong
+    layers, dist, members = map(ast.literal_eval, outputs[0].splitlines())
+    # an order to get wrong, and members that follow their keys
+    assert len(layers[1]) > 1 and dist == [key for layer in layers for key in layer]
+    assert [list(map(state_key, m)) for m in members] == [
+        [key for layer in layers[: d + 1] for key in layer] for d in range(len(layers))
+    ]
 
 
 class TestByteBound:
@@ -513,8 +542,10 @@ class TestByteBound:
             classes._search(257, 3)
         with pytest.raises(BudgetExceededError, match="exceeds 256"):
             enumerate_class(ClassSpec(3, 0), 257)
-        assert classes._search(256, 3).layers == [[identity(256)]]
+        assert classes._search(256, 3).layers == [[state_key(identity(256))]]
         assert is_member(identity(256), ClassSpec(3, 0))
+        assert classes._search(256, 3).members == []
+        assert list(enumerate_class(ClassSpec(3, 0), 256)) == [identity(256)]
 
     def test_search_refusal_names_the_byte_bound_before_the_state_budget(self):
         with pytest.raises(BudgetExceededError, match="exceeds 256"):

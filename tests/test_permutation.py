@@ -150,6 +150,27 @@ class TestStatistics:
         with pytest.raises(InvalidParameterError):
             inversions(None)
 
+    @pytest.mark.parametrize("statistic", [descents, descent_count, ascending_run_partition])
+    @pytest.mark.parametrize("perm, error", [
+        ((5, 5, 1), OutOfRangeError),
+        ([2, 2, 9], DuplicateValueError),
+        ((7, 7), OutOfRangeError),
+        ((1, 1), DuplicateValueError),
+        (5, InvalidParameterError),
+    ])
+    def test_descent_statistics_refuse_non_permutations(self, statistic, perm, error):
+        with pytest.raises(error):
+            statistic(perm)
+
+    def test_descent_statistics_of_a_plain_sequence(self):
+        for vals in itertools.permutations(range(1, 5)):
+            p = Permutation(vals)
+            for seq in (vals, list(vals)):
+                assert descents(seq) == descents(p)
+                assert descent_count(seq) == descent_count(p)
+                assert ascending_run_partition(seq) == ascending_run_partition(p)
+        assert ascending_run_partition([]) == []
+
 
 class TestInversionsAgainstAllPairs:
     """The bitset count against the all-pairs count."""
