@@ -11,10 +11,10 @@ avoids a basis iff it is not in the basis and its one-point deletions avoid it.
 
 Exhaustive operations breadth-first-search the successor relation from the
 identity.  Every one of them reaches the memo through ``_search(n, K)``,
-which rejects a negative size and sizes above 256, whose positions no longer
+which rejects a negative size and sizes above 256, whose values no longer
 fit in a byte, and keys one search by (n, min(K, n)), so an infinite width
 and any width of at least n share the search at width n, a
-``_LayeredSearch`` that holds each state as its inverse key only.  A class at
+``_LayeredSearch`` that holds each state as its one-line key only.  A class at
 budget p is a read-only set, a ``_ClassView``, over the ``Permutation``s of
 the first p + 1 layers, built once per layer; other queries build none.
 
@@ -133,9 +133,12 @@ def _check_states(n: int, width: int | float, depth: int | float) -> int:
 class _LayeredSearch:
     """Breadth-first layers of the successor relation from identity(n).
 
-    ``layers[d]`` lists the inverse keys (``steps.state_key``) at distance
-    d, sorted, and ``dist`` maps each key to its distance, filled in that
-    order.  Every layer is closed under reverse-complement, so a layer is
+    ``layers[d]`` lists the one-line keys (``steps.state_key``) at distance
+    d, sorted, so in lexicographic order of one-line notation, and ``dist``
+    maps each key to its distance, filled in that order.  The kernel
+    composes effects on the left, which gives the same layers as steps
+    applied on the right (see ``steps``).  Every layer is closed under
+    reverse-complement, so a layer is
     expanded by one call of ``steps.successor_values`` on the keys x with
     x <= rc(x); the new keys N and rc(N) make the next layer.  Only
     ``enumerate_class`` builds ``members[d]``, the ``Permutation``s of
@@ -229,10 +232,17 @@ class _ClassView(Set):
         return value in self._members
 
 
+def _check_spec(spec: ClassSpec) -> None:
+    """The one check that a class argument is a ``ClassSpec``."""
+    if not isinstance(spec, ClassSpec):
+        raise InvalidParameterError(f"class spec must be a ClassSpec, got {spec!r}")
+
+
 def enumerate_class(spec: ClassSpec, n: int) -> Set[Permutation]:
     """All size-n permutations reachable within the spec's budget, as a
     read-only set over the search's first budget + 1 member lists, each built
     once (``_ClassView``).  Later growth of the search leaves it unchanged."""
+    _check_spec(spec)
     search = _search(n, spec.width_limit)
     search.grow(spec.budget)
     members = search.members
@@ -242,6 +252,7 @@ def enumerate_class(spec: ClassSpec, n: int) -> Set[Permutation]:
 
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:
     """Whether ``perm`` is reachable within the spec's budget."""
+    _check_spec(spec)
     perm = _as_permutation(perm)
     search = _search(len(perm), spec.width_limit)
     key = state_key(perm)
@@ -337,6 +348,7 @@ def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
     "brute-force", means found from the class search, not from a theorem.
     Its largest class is checked against the state budget up front.
     """
+    _check_spec(spec)
     _check_key_size(max_size)
     _check_states(max_size, spec.width_limit, spec.budget)
     minimal, smaller = set(), {Permutation(())}

@@ -123,6 +123,10 @@ class Permutation(tuple):
         return all(v == i + 1 for i, v in enumerate(self))
 
 
+# Wraps values that form a permutation by construction, with no check.
+_trusted = functools.partial(tuple.__new__, Permutation)
+
+
 def _as_permutation(perm: Sequence[int]) -> Permutation:
     """``perm`` itself when it is a ``Permutation``, else the checked
     ``Permutation`` of its entries, which raises a typed DupLossError."""
@@ -159,7 +163,7 @@ def identity(n: int) -> Permutation:
 
 def reversed_identity(n: int) -> Permutation:
     """n (n-1) ... 2 1, the unique permutation with n-1 descents."""
-    return tuple.__new__(Permutation, reversed(_values(n)))
+    return _trusted(reversed(_values(n)))
 
 
 def descents(perm: Permutation) -> set[int]:
@@ -408,13 +412,10 @@ def delete(perm: Permutation, position: int) -> Permutation:
     """
     perm = _as_permutation(perm)
     removed = perm.value_at(position)
-    # a permutation by construction, so wrapped without re-checking each entry
-    return tuple.__new__(
-        Permutation, [x - 1 if x > removed else x for i, x in enumerate(perm) if i != position - 1]
-    )
+    return _trusted([x - 1 if x > removed else x for i, x in enumerate(perm) if i != position - 1])
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of size n, in lexicographic order of one-line
     values; each is one by construction, so it is wrapped unchecked."""
-    return map(functools.partial(tuple.__new__, Permutation), itertools.permutations(_values(n)))
+    return map(_trusted, itertools.permutations(_values(n)))

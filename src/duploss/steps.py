@@ -26,20 +26,26 @@ one width and mask, each starting where the one before left its moved
 entries), which the bucket convoy emits at narrow K, is one slice rotation,
 and every other step goes through ``apply_step_to_list``.
 
-The step neighborhood works on inverse keys: ``state_key(perm)`` is the
-inverse permutation as ``bytes`` (byte v-1 holds the 0-based position of
-value v), so sizes up to ``MAX_KEY_SIZE`` = 256 fit.  ``_effects`` builds
-each step effect once per (size, width), from the steps that move both ends
-of their window, as a 256-byte ``bytes.translate`` table, refuses over
+The step neighborhood works on one-line keys: ``state_key(perm)`` is the
+permutation as ``bytes`` (byte i holds the 0-based value at position i), so
+sizes up to ``MAX_KEY_SIZE`` = 256 fit.  ``_effects`` builds each step effect
+once per (size, width), from the steps that move both ends of their window,
+as its position map m in a 256-byte ``bytes.translate`` table, refuses over
 2^14 of them with ``BudgetExceededError`` and holds at most 2^16 tables
-between calls.  ``successor_values`` is the layer kernel: it joins a whole
+between calls.  Translating a key by m relabels its values: it gives the key
+of m o pi, the effect composed on the left, where a step takes pi to pi o m.
+A search from the identity needs only the layers, and those are the same
+either way: the distance of pi is its word length over the set S of effects,
+and the products of k effects form one set S^k whichever side each factor is
+composed on.  ``successor_values`` is the layer kernel: it joins a whole
 breadth-first layer of keys into one ``bytes``, translates that once per
 effect, splits each result back into keys with a cached ``struct.Struct``
 and returns the neighbourhood as a set.
 The effects are closed under reversal, so ``reverse_complements`` (rc:
 reverse positions and complement values, one reversed join, translate and
 split per layer) maps a neighbourhood onto the neighbourhood of the rc
-states.  ``successors`` converts a ``Permutation`` to its key and back.
+states.  ``successors`` applies the steps to a ``Permutation`` itself, on
+the right, and reads no keys.
 
 ``_check_width`` is the one rule for a width limit K, and every entry point
 that takes K calls it: K is an exact ``int`` of at least 2, or at least 1
@@ -63,7 +69,7 @@ from .errors import (
     InvalidWidthError,
     WindowOutOfRangeError,
 )
-from .permutation import Permutation, _as_permutation, _check_size, _count_inversions
+from .permutation import Permutation, _as_permutation, _check_size, _count_inversions, _trusted
 
 __all__ = [
     "DupLossStep",
@@ -258,14 +264,17 @@ def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
     >>> from .permutation import identity
     >>> apply_step(identity(7), DupLossStep(3, 4, frozenset({2, 3})))
     Permutation([1, 2, 4, 5, 3, 6, 7])
+
+    A ``perm`` that is not a ``Permutation`` goes through its constructor.
     """
+    perm = _as_permutation(perm)
     _check_window(step, len(perm))
     vals = list(perm.values)
     apply_step_to_list(vals, step)
     return Permutation(vals)
 
 
-# The largest size whose 0-based positions fit in a byte, as inverse keys need.
+# The largest size whose 0-based values fit in a byte, as one-line keys need.
 MAX_KEY_SIZE = 256
 _BYTES = bytes(range(256))
 # The most step effects ``_effects`` builds; n = 14, K = 14 has 16,369.
@@ -273,7 +282,7 @@ _MAX_EFFECTS = 1 << 14
 
 
 def _check_key_size(n: int) -> None:
-    """The one bound on sizes the inverse keys can hold, past ``_check_size``."""
+    """The one bound on sizes the one-line keys can hold, past ``_check_size``."""
     _check_size(n)
     if n > MAX_KEY_SIZE:
         raise BudgetExceededError(
@@ -282,28 +291,27 @@ def _check_key_size(n: int) -> None:
 
 
 def state_key(perm: Sequence[int]) -> bytes:
-    """The inverse key of a permutation: byte v-1 is the 0-based position of
-    value v.
+    """The one-line key of a permutation: byte i is the 0-based value at
+    position i.
 
     >>> state_key(Permutation([3, 1, 2]))
-    b'\\x01\\x02\\x00'
+    b'\\x02\\x00\\x01'
     """
-    n = len(perm)
-    return bytes.maketrans(bytes(v - 1 for v in perm), _BYTES[:n])[:n]
+    return bytes(v - 1 for v in perm)
 
 
 def key_states(keys: Iterable[bytes], n: int) -> list[Permutation]:
-    """The size-n permutations whose inverse keys are ``keys``, in order.
+    """The size-n permutations whose one-line keys are ``keys``, in order.
 
-    Each is a permutation by construction, so ``tuple.__new__`` wraps it
+    The keys are joined, translated to 1-based values and unpacked n bytes
+    at a time.  Each is a permutation by construction, so it is wrapped
     without ``Permutation``'s check, and without a Python frame per state.
     """
-    make, maketrans = functools.partial(tuple.__new__, Permutation), bytes.maketrans
-    if n < 256:
-        values = _BYTES[1 : n + 1]
-        return [make(maketrans(key, values)[:n]) for key in keys]
-    # Value 256 has no byte: read the 0-based values and add one.
-    return [make(v + 1 for v in maketrans(key, _BYTES)) for key in keys]
+    if 0 < n < 256:
+        values = b"".join(keys).translate(_BYTES[1:] + _BYTES[:1])
+        return list(map(_trusted, struct.iter_unpack(f"{n}B", values)))
+    # A zero-length struct unpacks nothing, and value 256 has no byte.
+    return [_trusted(v + 1 for v in key) for key in keys]
 
 
 def _moving_both_ends(values: list[int], width: int) -> Iterator[list[int]]:
@@ -349,16 +357,16 @@ def _effects(n: int, width: int) -> tuple[bytes, ...]:
     """The E(n, width) step effects of width <= ``width`` on size n, from
     ``_moving_both_ends``, as 256-byte ``bytes.translate`` tables.  A step
     takes pi to pi o m, where output position i takes the entry at input
-    position m[i], so it relabels the inverse key q to m^-1 o q: the table
-    has ``table[m[i]] = i``, the identity elsewhere.  Results are held in
-    ``_held_effects`` within ``_MAX_HELD_EFFECTS`` tables."""
+    position m[i]; the table is m itself, the identity past n, and
+    translating a one-line key by it gives the key of m o pi.  Results are
+    held in ``_held_effects`` within ``_MAX_HELD_EFFECTS`` tables."""
     key = (n, width)
     tables = _held_effects.pop(key, None)
     if tables is None:
         _check_effect_count(_effect_count(n, width), f"step effects on size {n}")
         widths = range(2, min(width, n) + 1)
         maps = itertools.chain.from_iterable(_moving_both_ends(list(range(n)), w) for w in widths)
-        tables = tuple(bytes.maketrans(bytes(m), _BYTES[:n]) for m in maps)
+        tables = tuple(bytes(m) + _BYTES[n:] for m in maps)
         held = sum(max(len(t), 1) for t in _held_effects.values()) + max(len(tables), 1)
         while held > _MAX_HELD_EFFECTS:
             held -= max(len(_held_effects.pop(next(iter(_held_effects)))), 1)
@@ -389,9 +397,9 @@ def _split_plan(n: int, count: int) -> list[tuple[struct.Struct, int]]:
 
 
 def successor_values(keys: Sequence[bytes], width_limit: int | float) -> set[bytes]:
-    """The layer kernel: the set of inverse keys one step of width <=
-    width_limit from any of ``keys`` (a nonempty layer, all of one size),
-    plus ``keys`` themselves.
+    """The layer kernel: the set of one-line keys one step effect of width
+    <= width_limit, composed on the left, from any of ``keys`` (a nonempty
+    layer, all of one size), plus ``keys`` themselves.
 
     The layer is joined into one ``bytes``, which is translated once per
     step effect and split back into keys, so no Python code runs per key.
@@ -408,9 +416,9 @@ def successor_values(keys: Sequence[bytes], width_limit: int | float) -> set[byt
 
 
 def reverse_complements(keys: Sequence[bytes]) -> list[bytes]:
-    """The inverse keys of rc(pi) = C o pi o R, for the keys of a nonempty
+    """The one-line keys of rc(pi) = C o pi o R, for the keys of a nonempty
     list of size-n states, in the same order: R reverses positions and C
-    complements values, v -> n+1-v.  On an inverse key q this is
+    complements values, v -> n+1-v.  On a key q this is
     ``q[::-1].translate(flip)`` with ``flip[b] = n-1-b``, applied here to
     the whole joined list at once.  rc is an involution, and since every
     step effect conjugated by R is a step effect, rc(pi) is exactly as far
@@ -441,7 +449,9 @@ def successors(perm: Permutation, width_limit: int | float) -> set[Permutation]:
     _check_width(width_limit, least=1)
     n = len(perm)
     _check_key_size(n)
-    return set(key_states(successor_values([state_key(perm)], width_limit), n))
+    _check_effect_count(_effect_count(n, width_limit), f"step effects on size {n}")
+    moved = (_moving_both_ends(list(perm), w) for w in range(2, min(width_limit, n) + 1))
+    return {perm, *map(_trusted, itertools.chain.from_iterable(moved))}
 
 
 def inversions_created(perm: Permutation, step: DupLossStep) -> int:
@@ -453,8 +463,10 @@ def inversions_created(perm: Permutation, step: DupLossStep) -> int:
 
     For a step of width k this is never more than floor(k^2 / 4): new
     inversions only pair a kept-first entry with a kept-second one, giving at
-    most i*(k-i) of them when i offsets are kept.
+    most i*(k-i) of them when i offsets are kept.  A ``perm`` that is not a
+    ``Permutation`` goes through its constructor.
     """
+    perm = _as_permutation(perm)
     _check_window(step, len(perm))
     lo = step.start - 1
     window = perm.values[lo : lo + step.width]

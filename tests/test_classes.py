@@ -534,7 +534,7 @@ def test_layer_order_does_not_depend_on_the_hash_seed():
 
 
 class TestByteBound:
-    """Inverse keys hold a position per byte, so sizes above 256 are refused
+    """One-line keys hold a value per byte, so sizes above 256 are refused
     with a typed error."""
 
     def test_search_refuses_above_the_byte_bound(self):
@@ -608,6 +608,17 @@ class TestStateBudget:
         assert list(classes._searches) == [(5, 4)] and len(search.dist) == 120
         with pytest.raises(BudgetExceededError, match="over 200 states"):
             enumerate_class(ClassSpec(3, 10), 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: enumerate_class(spec, 3),
+    lambda spec: is_member(Permutation([2, 1]), spec),
+    lambda spec: minimal_forbidden_basis(spec, 4),
+], ids=["enumerate_class", "is_member", "minimal_forbidden_basis"])
+@pytest.mark.parametrize("spec", [(2, 1), None, {"width_limit": 2, "budget": 1}])
+def test_class_queries_refuse_non_specs(call, spec):
+    with pytest.raises(InvalidParameterError, match="must be a ClassSpec"):
+        call(spec)
 
 
 @pytest.mark.parametrize("query", [

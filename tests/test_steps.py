@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 
 from duploss import (
     BudgetExceededError,
+    DuplicateValueError,
     DupLossStep,
     InvalidParameterError,
+    OutOfRangeError,
     Permutation,
     WindowOutOfRangeError,
     apply_step,
@@ -40,13 +43,26 @@ from duploss.steps import (
 )
 from helpers import (
     apply_keep_set,
+    brute_distances,
     brute_successors,
     inversion_count,
     keep_set_effect_maps,
     mask_offsets,
+    per_key_layers,
     per_key_successor_values,
     permutations_st,
 )
+
+
+_keep_set_effect_maps = functools.cache(keep_set_effect_maps)
+
+
+def left_successors(vals, width_limit):
+    """``vals`` and m o vals for every position map m of a step of width
+    <= width_limit (``keep_set_effect_maps``, built by ``apply_keep_set``):
+    each value v relabelled to m[v-1]+1."""
+    maps = _keep_set_effect_maps(len(vals), width_limit)
+    return {tuple(vals)} | {tuple(m[v - 1] + 1 for v in vals) for m in maps}
 
 
 def all_steps(n, max_width):
@@ -182,7 +198,7 @@ class TestMaskKernel:
         assert step_to_json(wide) == {"start": wide.start, "width": 187, "keep": sorted(kept)}
 
     def test_effects_are_the_keep_set_maps_once_each(self):
-        # table[m[i]] = i, identity elsewhere: read each table back to its map m
+        # table[:n] is the map m itself, the identity elsewhere
         positions = bytes(range(256))
         for n in range(0, 9):
             for width in range(1, n + 2):
@@ -190,7 +206,7 @@ class TestMaskKernel:
                 got = set()
                 for table in tables:
                     assert len(table) == 256 and table[n:] == positions[n:], (n, width)
-                    got.add(tuple(bytes.maketrans(table[:n], positions[:n])[:n]))
+                    got.add(tuple(table[:n]))
                 assert len(set(tables)) == len(tables) == _effect_count(n, width), (n, width)
                 assert got == keep_set_effect_maps(n, width), (n, width)
 
@@ -273,8 +289,10 @@ class TestSuccessors:
                 assert p in successors(p, 2)
 
     def test_matches_brute_force(self):
-        # the compiled effect tables against direct window/subset enumeration,
-        # and the joined-layer kernel against the per-key oracle
+        # the kernel composes the effect tables on the left: against the keep
+        # set maps so composed, and the joined-layer kernel against the
+        # per-key oracle; successors steps on the right, against direct
+        # window/subset enumeration
         for n in range(0, 7):
             for vals in itertools.permutations(range(1, n + 1)):
                 key = state_key(vals)
@@ -284,7 +302,8 @@ class TestSuccessors:
                     assert got == set(per_key_successor_values([key], limit))
                     states = {tuple(p) for p in key_states(got, n)}
                     assert len(states) == len(got)
-                    assert states == brute_successors(vals, limit)
+                    assert states == left_successors(vals, limit)
+                    assert {tuple(p) for p in successors(vals, limit)} == brute_successors(vals, limit)
 
     def test_layer_kernel_is_the_union_in_first_appearance_order(self):
         # a set now: the union of every key's neighbourhood, the keys included
@@ -293,10 +312,22 @@ class TestSuccessors:
         got = successor_values(keys, 4)
         want = set()
         for key in keys:
-            want |= {state_key(vals) for vals in brute_successors(key_states([key], 7)[0], 4)}
+            want |= {state_key(vals) for vals in left_successors(key_states([key], 7)[0], 4)}
         assert type(got) is set and got == want
         assert set(keys) <= got
         assert got == set(per_key_successor_values(keys, 4))
+
+    def test_sides_differ_per_state_not_per_layer(self):
+        # 213 at width 2: swapping values 2 and 3 gives 312, swapping
+        # positions 2 and 3 gives 231; the layers from the identity agree
+        sigma = (2, 1, 3)
+        left = {tuple(p) for p in key_states(successor_values([state_key(sigma)], 2), 3)}
+        assert left == {(2, 1, 3), (1, 2, 3), (3, 1, 2)}
+        assert brute_successors(sigma, 2) == {(2, 1, 3), (1, 2, 3), (2, 3, 1)}
+        for n, width in ((3, 2), (5, 2), (5, 3), (6, 4)):
+            layers = per_key_layers(state_key(range(1, n + 1)), width)
+            dist = {tuple(p): d for d, keys in enumerate(layers) for p in key_states(keys, n)}
+            assert dist == brute_distances(n, width), (n, width)
 
     @pytest.mark.parametrize("count", (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1))
     def test_layer_kernel_across_split_chunks(self, count):
@@ -319,14 +350,16 @@ class TestSuccessors:
         _effects(16, 12)  # a hit makes it the most recently used
         assert list(_held_effects) == [*sizes[2:], (16, 12)]
 
-    def test_inverse_keys_round_trip(self):
+    def test_one_line_keys_round_trip(self):
         for n in (0, 1, 5, 255, 256):
-            for seed in range(3):
-                p = random_permutation(n, seed)
+            perms = [random_permutation(n, seed) for seed in range(3)]
+            for p in perms:
                 key = state_key(p)
                 assert sorted(key) == list(range(n))
-                assert all(p[key[v - 1]] == v for v in range(1, n + 1))
+                assert all(key[i] == p[i] - 1 for i in range(n))
                 assert key_states([key], n) == [p]
+            states = key_states([state_key(p) for p in perms], n)
+            assert states == perms and all(type(p) is Permutation for p in states)
 
     def test_size_256_matches_single_steps(self):
         p = random_permutation(256, 1)
@@ -377,7 +410,7 @@ def conjugate_by_reversal(table, n):
 
 
 class TestReverseComplement:
-    """rc(pi) = C o pi o R on inverse keys, and the closure of the step
+    """rc(pi) = C o pi o R on one-line keys, and the closure of the step
     effects under reversal that makes rc preserve distance."""
 
     def test_effects_are_closed_under_reversal(self):
@@ -401,6 +434,31 @@ class TestReverseComplement:
         perms = list(itertools.permutations(range(1, 8)))  # 5040 keys: whole chunks and a rest
         rcs = reverse_complements([state_key(p) for p in perms])
         assert rcs == [state_key([8 - v for v in reversed(p)]) for p in perms]
+
+
+@pytest.mark.parametrize("call", [apply_step, inversions_created], ids=["apply", "inversions"])
+class TestPlainSequences:
+    """``apply_step`` and ``inversions_created`` take any sequence: a
+    permutation answers as its ``Permutation``, anything else gets the
+    constructor's typed error."""
+
+    def test_plain_sequence_answers_as_its_permutation(self, call):
+        for vals in itertools.permutations(range(1, 5)):
+            for step in all_steps(4, 4):
+                want = call(Permutation(vals), step)
+                for seq in (vals, list(vals)):
+                    got = call(seq, step)
+                    assert type(got) is type(want) and got == want
+        assert call((1, 2, 3), DupLossStep(1, 3, 0b110)) == call(identity(3), DupLossStep(1, 3, 0b110))
+
+    @pytest.mark.parametrize("perm, error", [
+        ((1, 1, 2), DuplicateValueError),
+        ([2, 3, 4], OutOfRangeError),
+        (5, InvalidParameterError),
+    ], ids=["repeat", "value-past-n", "not-iterable"])
+    def test_non_permutations_get_typed_errors(self, call, perm, error):
+        with pytest.raises(error):
+            call(perm, DupLossStep(1, 2, 0b10))
 
 
 class TestInversionsCreated:
