@@ -21,6 +21,7 @@ from .errors import InvalidParameterError, VerificationError
 from .permutation import (
     Permutation,
     _check_size,
+    _trusted,
     _values,
     descent_count,
     inversions,
@@ -100,7 +101,7 @@ def random_permutation(n: int, seed: int) -> Permutation:
     if type(seed) is not int:
         raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
     random.Random(seed).shuffle(vals)
-    return tuple.__new__(Permutation, vals)
+    return _trusted(vals)
 
 
 def _lower_bound(n: int, d: int, inv: int, width_limit: int) -> int:
@@ -182,6 +183,8 @@ def run_benchmark(
     """Bucket-scenario rows for each size: the reversed identity first, then
     ``samples`` seeded uniform permutations.  Every row is replay-verified and
     lower-bound-checked."""
+    if not isinstance(policy, WidthPolicy):
+        raise InvalidParameterError(f"policy must be a WidthPolicy, got {policy!r}")
     if type(samples) is not int or samples < 1:
         raise InvalidParameterError(f"samples must be an integer >= 1, got {samples!r}")
     if any(type(n) is not int or n < 0 for n in sizes):

@@ -45,7 +45,14 @@ from .errors import (
     InvalidParameterError,
     InvalidWidthError,
 )
-from .permutation import Permutation, _as_permutation, contains_pattern, delete, descent_count
+from .permutation import (
+    Permutation,
+    _as_permutation,
+    _trusted,
+    contains_pattern,
+    delete,
+    descent_count,
+)
 from .steps import (
     _check_effect_count,
     _check_key_size,
@@ -289,7 +296,7 @@ def one_step_blockers(width_limit: int) -> frozenset[Permutation]:
     _check_width(width_limit)
     k = width_limit
     _check_effect_count(1 << (k - 1), f"blockers of width {k}")
-    return frozenset(map(Permutation, _moving_both_ends(list(range(1, k + 2)), k + 1)))
+    return frozenset(map(_trusted, _moving_both_ends(list(range(1, k + 2)), k + 1)))
 
 
 def one_step_basis(width_limit: int) -> PatternBasis:
@@ -336,7 +343,7 @@ def _extensions(smaller, n: int, skip=frozenset()) -> set[Permutation]:
     ['1,2,3', '1,3,2', '2,1,3', '2,3,1', '3,1,2']
     """
     candidates = ((*small[:i], n, *small[i:]) for small in smaller for i in range(n))
-    kept = map(Permutation, itertools.filterfalse(skip.__contains__, candidates))
+    kept = map(_trusted, itertools.filterfalse(skip.__contains__, candidates))
     return {big for big in kept if all(delete(big, pos) in smaller for pos in range(1, n + 1))}
 
 

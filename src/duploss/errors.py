@@ -47,7 +47,7 @@ class InfiniteWidthError(DupLossError):
 
 class BudgetExceededError(DupLossError):
     """Work refused before it starts for passing one of three fixed bounds:
-    a size above 256, whose positions do not fit in a byte; more than 2^14
+    a size above 256, whose values do not fit in a byte; more than 2^14
     step effects; or a search predicted to reach more than 2^20 states."""
 
 

@@ -123,7 +123,10 @@ class Permutation(tuple):
         return all(v == i + 1 for i, v in enumerate(self))
 
 
-# Wraps values that form a permutation by construction, with no check.
+# Wraps values that form a permutation by construction, with no check.  The
+# one rule: a permutation the package computes goes through here, a step it
+# generates through ``steps._step`` (radix steps aside), and only a caller's
+# input and literals through the checking ``Permutation`` and ``DupLossStep``.
 _trusted = functools.partial(tuple.__new__, Permutation)
 
 
@@ -158,7 +161,7 @@ def _values(n: int) -> range:
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(_values(n))
+    return _trusted(_values(n))
 
 
 def reversed_identity(n: int) -> Permutation:

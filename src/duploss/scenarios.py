@@ -46,7 +46,7 @@ from operator import add, attrgetter
 from typing import Sequence
 
 from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
-from .permutation import Permutation, _as_permutation, _check_size
+from .permutation import Permutation, _as_permutation, _check_size, _trusted
 from .steps import (
     DupLossStep,
     _check_width,
@@ -279,19 +279,24 @@ def _check_steps(scenario: Scenario) -> None:
 
 def replay(scenario: Scenario) -> Permutation:
     """Fold the steps over identity(n), validating width and window bounds.
-    Steps permute entries, so the result is wrapped without re-checking it."""
+    Steps permute entries, so the result is wrapped without re-checking it.
+    A ``scenario`` that is not a ``Scenario`` raises ``InvalidParameterError``."""
+    if not isinstance(scenario, Scenario):
+        raise InvalidParameterError(f"scenario must be a Scenario, got {scenario!r}")
     _check_steps(scenario)
     work = list(range(1, scenario.n + 1))
     apply_steps_to_list(work, scenario.steps)
-    return tuple.__new__(Permutation, work)
+    return _trusted(work)
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    """JSON form: width limit "inf" when unbounded, plus the replayed result."""
+    """JSON form: width limit "inf" when unbounded, plus the replayed result.
+    ``replay`` runs first, so it refuses what is not a ``Scenario``."""
+    final = str(replay(scenario))
     return {
         "n": scenario.n,
         "width_limit": "inf" if scenario.width_limit == math.inf else scenario.width_limit,
         "steps": [step_to_json(s) for s in scenario.steps],
-        "final": str(replay(scenario)),
+        "final": final,
     }
 

@@ -10,10 +10,8 @@ sets that are a prefix {1..j} of the window are legal no-ops.
 A step holds its keep set as an int bitmask, ``mask``: bit o-1 is set when
 offset o is kept.  ``DupLossStep`` accepts either that mask or a set of
 offsets, and ``keep`` reads the offsets back as a frozenset.  It checks
-every argument, at the edge.  ``_step(start, width, mask)`` is the trusted
-path: it sets the three slots with no check, for the bucket convoy, which
-makes almost every step at narrow K from masks it has just built.  The
-radix phase keeps the checked constructor, since it makes few steps.
+every argument, at the edge.  ``_step(start, width, mask)`` sets the slots
+unchecked, for a generated step (the rule is at ``permutation._trusted``).
 
 ``apply_step_to_list`` writes one step's effect: it reorders the window
 by an ``operator.itemgetter`` made once per ``(width, mask)``, decoded in C
@@ -180,6 +178,12 @@ def _check_width(width_limit: int | float, least: int = 2) -> None:
         )
 
 
+def _check_step(step: DupLossStep) -> None:
+    """The one check that a step argument is a ``DupLossStep``."""
+    if not isinstance(step, DupLossStep):
+        raise InvalidParameterError(f"step must be a DupLossStep, got {step!r}")
+
+
 def _check_window(step: DupLossStep, n: int) -> None:
     if step.end > n:
         raise WindowOutOfRangeError(
@@ -265,13 +269,16 @@ def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
     >>> apply_step(identity(7), DupLossStep(3, 4, frozenset({2, 3})))
     Permutation([1, 2, 4, 5, 3, 6, 7])
 
-    A ``perm`` that is not a ``Permutation`` goes through its constructor.
+    A ``perm`` that is not a ``Permutation`` goes through its constructor,
+    and a ``step`` that is not a ``DupLossStep`` raises
+    ``InvalidParameterError``.
     """
     perm = _as_permutation(perm)
+    _check_step(step)
     _check_window(step, len(perm))
     vals = list(perm.values)
     apply_step_to_list(vals, step)
-    return Permutation(vals)
+    return _trusted(vals)
 
 
 # The largest size whose 0-based values fit in a byte, as one-line keys need.
@@ -286,7 +293,7 @@ def _check_key_size(n: int) -> None:
     _check_size(n)
     if n > MAX_KEY_SIZE:
         raise BudgetExceededError(
-            f"size {n} exceeds {MAX_KEY_SIZE}, the largest size whose positions fit in a byte"
+            f"size {n} exceeds {MAX_KEY_SIZE}, the largest size whose values fit in a byte"
         )
 
 
@@ -464,16 +471,18 @@ def inversions_created(perm: Permutation, step: DupLossStep) -> int:
     For a step of width k this is never more than floor(k^2 / 4): new
     inversions only pair a kept-first entry with a kept-second one, giving at
     most i*(k-i) of them when i offsets are kept.  A ``perm`` that is not a
-    ``Permutation`` goes through its constructor.
+    ``Permutation`` goes through its constructor, and a ``step`` that is not
+    a ``DupLossStep`` raises ``InvalidParameterError``.
     """
     perm = _as_permutation(perm)
+    _check_step(step)
     _check_window(step, len(perm))
     lo = step.start - 1
     window = perm.values[lo : lo + step.width]
     rank = {v: r for r, v in enumerate(sorted(window), 1)}
     ranks = [rank[v] for v in window]
     before = _count_inversions(ranks)
-    apply_step_to_list(ranks, DupLossStep(1, step.width, step.mask))
+    apply_step_to_list(ranks, _step(1, step.width, step.mask))
     return _count_inversions(ranks) - before
 
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NoWitnessError
-from .permutation import Permutation, delete
+from .permutation import Permutation, _as_permutation, delete
 
 __all__ = [
     "VpVector",
@@ -81,6 +81,7 @@ class FreeWindowDecomposition:
 
 def vp_vector(perm: Permutation, value: int) -> VpVector:
     """The vp-vector of one value; empty when the value is a fixpoint."""
+    perm = _as_permutation(perm)
     from_pos = perm.position_of(value)
     to_pos = value
     if from_pos == to_pos:
@@ -91,6 +92,7 @@ def vp_vector(perm: Permutation, value: int) -> VpVector:
 
 def vp_vectors(perm: Permutation) -> list[VpVector]:
     """The vp-vectors of every value 1..n, in value order."""
+    perm = _as_permutation(perm)
     return [vp_vector(perm, i) for i in range(1, len(perm) + 1)]
 
 
@@ -104,6 +106,7 @@ def vp_domain(perm: Permutation) -> frozenset[int]:
 
 def free_window_decomposition(perm: Permutation) -> FreeWindowDecomposition:
     """Split 1..n into maximal runs of vp-domain positions and free runs."""
+    perm = _as_permutation(perm)
     domain = vp_domain(perm)
     vp_runs: list[tuple[int, int]] = []
     free_runs: list[tuple[int, int]] = []
@@ -116,14 +119,14 @@ def free_window_decomposition(perm: Permutation) -> FreeWindowDecomposition:
 
 
 def fixpoints(perm: Permutation) -> set[int]:
-    return {v for i, v in enumerate(perm.values, start=1) if v == i}
+    return {v for i, v in enumerate(_as_permutation(perm), start=1) if v == i}
 
 
 def quasi_diagonal_values(perm: Permutation) -> set[int]:
     """Values sitting immediately next to their sorted position: i with
     sigma_{i-1} = i or sigma_{i+1} = i.  Only these can become fixpoints
     when a single element is removed."""
-    v = perm.values
+    v = _as_permutation(perm)[:]
     n = len(v)
     out = set()
     for i in range(1, n + 1):
@@ -142,6 +145,7 @@ def removal_span_stability(perm: Permutation) -> bool:
     Survivor values are compared after rank renormalization: value i above
     the removed value becomes i - 1 in the reduced permutation.
     """
+    perm = _as_permutation(perm)
     n = len(perm)
     sizes = {vec.value: vec.size for vec in vp_vectors(perm) if not vec.is_empty}
     for position in range(1, n + 1):
@@ -162,6 +166,7 @@ def safe_removal_position(perm: Permutation) -> int:
 
     Such a position always exists; scanning left to right returns the first.
     """
+    perm = _as_permutation(perm)
     n = len(perm)
     if n < 1:
         raise NoWitnessError("empty permutation has no removal position")
@@ -174,6 +179,7 @@ def safe_removal_position(perm: Permutation) -> int:
 
 def format_vp_vectors(perm: Permutation) -> str:
     """Diagnostic dump: one line per value with its span and covered set."""
+    perm = _as_permutation(perm)
     lines = [f"vp-vectors of {perm}"]
     for vec in vp_vectors(perm):
         if vec.is_empty:

@@ -183,6 +183,11 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(WidthPolicy("full"), [4], samples=0, seed=0)
 
+    @pytest.mark.parametrize("policy", ["constant:8", 8, None])
+    def test_rejects_a_policy_that_is_not_a_width_policy(self, policy):
+        with pytest.raises(InvalidParameterError, match="must be a WidthPolicy"):
+            run_benchmark(policy, [8], 1, 0)
+
 
 class TestCsv:
     def test_schema_and_determinism(self):

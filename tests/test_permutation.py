@@ -6,12 +6,14 @@ from hypothesis import given, settings
 
 from duploss import (
     DupLossError,
+    DupLossStep,
     DuplicateValueError,
     InvalidParameterError,
     OutOfRangeError,
     Permutation,
     PositionOutOfRangeError,
     all_permutations,
+    apply_step,
     ascending_run_partition,
     contains_pattern,
     delete,
@@ -20,11 +22,13 @@ from duploss import (
     identity,
     inversions,
     one_step_basis,
+    one_step_blockers,
     parse_one_line,
     random_permutation,
     reversed_identity,
 )
 from duploss import permutation
+from duploss.classes import _extensions
 from duploss.permutation import _matcher, _pattern_plan
 from helpers import (
     backtrack_contains,
@@ -522,3 +526,45 @@ class TestDelete:
     def test_deletion_is_a_pattern(self, p):
         for pos in range(1, len(p) + 1):
             assert contains_pattern(p, delete(p, pos))
+
+
+def is_exact(perm) -> bool:
+    """``perm`` is an exact ``Permutation``, one the checking constructor
+    accepts and builds equal."""
+    return type(perm) is Permutation and perm == Permutation(tuple(perm))
+
+
+class TestTrustedPaths:
+    """The library wraps what it computes itself without the constructor's
+    check (``permutation._trusted``); each such site must still give an
+    exact ``Permutation`` that the checking constructor accepts.  The
+    sampled and replayed ones are pinned in ``test_bench`` and
+    ``test_scenarios``."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 4097])
+    def test_identity(self, n):
+        assert is_exact(identity(n)) and identity(n) == tuple(range(1, n + 1))
+
+    def test_apply_step(self):
+        for n in range(6):
+            for vals in itertools.permutations(range(1, n + 1)):
+                p = Permutation(vals)
+                for width in range(1, n + 1):
+                    for start in range(1, n - width + 2):
+                        for mask in range(1 << width):
+                            assert is_exact(apply_step(p, DupLossStep(start, width, mask)))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_one_step_blockers(self, k):
+        blockers = one_step_blockers(k)
+        assert len(blockers) == 1 << (k - 1)
+        assert all(map(is_exact, blockers))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_extensions(self, n):
+        smaller = set(all_permutations(n - 1))
+        every = _extensions(smaller, n)
+        assert every == set(all_permutations(n)) and all(map(is_exact, every))
+        skip = frozenset(itertools.islice(all_permutations(n), 0, None, 2))
+        kept = _extensions(smaller, n, skip=skip)
+        assert kept == every - skip and all(map(is_exact, kept))

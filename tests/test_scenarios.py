@@ -163,6 +163,16 @@ class TestReplay:
         sc = Scenario(4, math.inf, (DupLossStep(1, 4, frozenset({3, 4})),))
         assert replay(sc) == Permutation([3, 4, 1, 2])
 
+    @pytest.mark.parametrize("call", [replay, scenario_to_json], ids=["replay", "to_json"])
+    @pytest.mark.parametrize("scenario", [
+        [DupLossStep(1, 2, 1)],
+        (DupLossStep(1, 2, 1),),
+        None,
+    ], ids=["step-list", "step-tuple", "none"])
+    def test_non_scenarios_are_refused(self, call, scenario):
+        with pytest.raises(InvalidParameterError, match="must be a Scenario"):
+            call(scenario)
+
 
 def rotations(width, m, starts):
     """Rotation steps of one width: each keeps the suffix {m+1..width} of
@@ -401,14 +411,20 @@ class TestBucket:
         check_bucket_phases(sizes=(1024, 2048), seeds=(0,), widths=lambda n: (8,))
 
     def test_every_step_passes_the_public_constructor(self):
-        # the convoy builds its steps unchecked; each must be a valid step
-        cases = [(Permutation(vals), limit)
+        # the convoy builds its steps unchecked; every step of both generators must be valid
+        small = (bucket_phases(Permutation(vals), limit)
                  for n in range(0, 8)
                  for vals in itertools.permutations(range(1, n + 1))
-                 for limit in range(2, 9)]
-        cases.append((random_permutation(1024, 5), 8))
-        for p, limit in cases:
-            for step in itertools.chain(*bucket_phases(p, limit)):
+                 for limit in range(2, 9))
+        targets = [random_permutation(n, seed) for seed, n in enumerate((256, 512, 1024, 2048))]
+        assert all(descent_count(p).bit_length() > 8 for p in targets[1:])  # several byte columns
+        large = [bucket_phases(random_permutation(1024, 5), 8)]
+        for p in targets:
+            large.append([radix_scenario(p).steps])
+            large.append([bucket_scenario(p, math.ceil(len(p) / math.log2(len(p)))).steps])
+        for phases in itertools.chain(small, large):
+            for step in itertools.chain(*phases):
+                assert type(step) is DupLossStep
                 assert DupLossStep(step.start, step.width, step.mask) == step
 
     def test_phase_one_leaves_every_block_increasing(self):

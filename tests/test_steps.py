@@ -460,6 +460,11 @@ class TestPlainSequences:
         with pytest.raises(error):
             call(perm, DupLossStep(1, 2, 0b10))
 
+    @pytest.mark.parametrize("step", [(1, 2, 1), None, {"start": 1, "width": 2, "keep": [2]}])
+    def test_non_steps_are_refused(self, call, step):
+        with pytest.raises(InvalidParameterError, match="must be a DupLossStep"):
+            call(identity(3), step)
+
 
 class TestInversionsCreated:
     def test_noop_creates_none(self):

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from duploss import (
+    DuplicateValueError,
+    InvalidParameterError,
     OutOfRangeError,
     Permutation,
     delete,
@@ -147,3 +149,38 @@ class TestDump:
         assert "5: fixpoint" in text
         assert "covers {4, 1, 2, 3}" in text
         assert lines[-1] == "vp-domain: {1, 2, 3, 4, 6, 7}"
+
+
+# Every public vp function with its perm first, any further argument fixed.
+VP_CALLS = {
+    "vp_vector": lambda perm: vp_vector(perm, 1),
+    "vp_vectors": vp_vectors,
+    "vp_domain": vp_domain,
+    "free_window_decomposition": free_window_decomposition,
+    "fixpoints": fixpoints,
+    "quasi_diagonal_values": quasi_diagonal_values,
+    "removal_span_stability": removal_span_stability,
+    "safe_removal_position": safe_removal_position,
+    "format_vp_vectors": format_vp_vectors,
+}
+
+
+@pytest.mark.parametrize("call", VP_CALLS.values(), ids=VP_CALLS.keys())
+class TestPlainSequences:
+    """Each vp function sends ``perm`` through the ``Permutation``
+    constructor: a tuple answers as its ``Permutation``, and anything else
+    gets the constructor's typed error."""
+
+    def test_tuple_answers_as_its_permutation(self, call):
+        for n in range(1, 6):
+            for vals in itertools.permutations(range(1, n + 1)):
+                assert call(vals) == call(Permutation(vals))
+        assert call(tuple(SIGMA)) == call(SIGMA)
+
+    @pytest.mark.parametrize("perm, error", [
+        ((1, 1), DuplicateValueError),
+        (5, InvalidParameterError),
+    ], ids=["repeat", "not-iterable"])
+    def test_non_permutations_get_typed_errors(self, call, perm, error):
+        with pytest.raises(error):
+            call(perm)
