@@ -15,11 +15,14 @@ import json
 import math
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, VerificationError
 from .permutation import (
     Permutation,
+    _as_permutation,
+    _check_kind,
     _check_size,
     _trusted,
     _values,
@@ -84,6 +87,7 @@ class WidthPolicy:
 
 def parse_width_policy(text: str) -> WidthPolicy:
     """Parse "constant:8" (or bare "8") or the name of a scaled kind."""
+    _check_kind(text, str, "width policy text")
     text = text.strip()
     if text in _SCALED_WIDTHS:
         return WidthPolicy(text)
@@ -128,6 +132,7 @@ def lower_bound_steps(n: int, width_limit: int) -> int:
 
 def per_permutation_lower_bound(perm: Permutation, width_limit: int) -> int:
     """Steps certifiably necessary for this particular permutation."""
+    perm = _as_permutation(perm)
     return _lower_bound(len(perm), descent_count(perm), inversions(perm), width_limit)
 
 
@@ -183,11 +188,10 @@ def run_benchmark(
     """Bucket-scenario rows for each size: the reversed identity first, then
     ``samples`` seeded uniform permutations.  Every row is replay-verified and
     lower-bound-checked."""
-    if not isinstance(policy, WidthPolicy):
-        raise InvalidParameterError(f"policy must be a WidthPolicy, got {policy!r}")
+    _check_kind(policy, WidthPolicy, "policy")
     if type(samples) is not int or samples < 1:
         raise InvalidParameterError(f"samples must be an integer >= 1, got {samples!r}")
-    if any(type(n) is not int or n < 0 for n in sizes):
+    if not isinstance(sizes, Iterable) or any(type(n) is not int or n < 0 for n in sizes):
         raise InvalidParameterError(f"sizes must be integers >= 0, got {sizes!r}")
     if type(seed) is not int:
         raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
@@ -204,6 +208,7 @@ def run_benchmark(
 def _cells(r: BenchRow, include_timings: bool) -> tuple:
     """The row's values in ``CSV_SCHEMA`` order; the wall time, rounded to
     3 decimals, is None unless timings are requested."""
+    _check_kind(r, BenchRow, "row")
     wall = round(r.wall_time_ms, 3) if include_timings else None
     return (r.n, r.width, r.algorithm, r.seed, r.steps, r.inversions, r.descents, wall)
 

@@ -48,6 +48,7 @@ from .errors import (
 from .permutation import (
     Permutation,
     _as_permutation,
+    _check_kind,
     _trusted,
     contains_pattern,
     delete,
@@ -239,17 +240,11 @@ class _ClassView(Set):
         return value in self._members
 
 
-def _check_spec(spec: ClassSpec) -> None:
-    """The one check that a class argument is a ``ClassSpec``."""
-    if not isinstance(spec, ClassSpec):
-        raise InvalidParameterError(f"class spec must be a ClassSpec, got {spec!r}")
-
-
 def enumerate_class(spec: ClassSpec, n: int) -> Set[Permutation]:
     """All size-n permutations reachable within the spec's budget, as a
     read-only set over the search's first budget + 1 member lists, each built
     once (``_ClassView``).  Later growth of the search leaves it unchanged."""
-    _check_spec(spec)
+    _check_kind(spec, ClassSpec, "class spec")
     search = _search(n, spec.width_limit)
     search.grow(spec.budget)
     members = search.members
@@ -259,7 +254,7 @@ def enumerate_class(spec: ClassSpec, n: int) -> Set[Permutation]:
 
 def is_member(perm: Permutation, spec: ClassSpec) -> bool:
     """Whether ``perm`` is reachable within the spec's budget."""
-    _check_spec(spec)
+    _check_kind(spec, ClassSpec, "class spec")
     perm = _as_permutation(perm)
     search = _search(len(perm), spec.width_limit)
     key = state_key(perm)
@@ -355,7 +350,7 @@ def minimal_forbidden_basis(spec: ClassSpec, max_size: int) -> PatternBasis:
     "brute-force", means found from the class search, not from a theorem.
     Its largest class is checked against the state budget up front.
     """
-    _check_spec(spec)
+    _check_kind(spec, ClassSpec, "class spec")
     _check_key_size(max_size)
     _check_states(max_size, spec.width_limit, spec.budget)
     minimal, smaller = set(), {Permutation(())}
@@ -372,6 +367,7 @@ def basis_to_json(
     budget: int,
     max_size: int | None,
 ) -> dict:
+    _check_kind(basis, PatternBasis, "basis")
     return {
         "patterns": [str(p) for p in basis.sorted_patterns()],
         "K": "inf" if width_limit == math.inf else width_limit,

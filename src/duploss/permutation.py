@@ -14,9 +14,12 @@ Conventions used throughout the package:
 All operations are pure; ``Permutation`` objects are immutable and hashable.
 A function given a sequence that is not a ``Permutation`` passes it through
 the constructor first (``_as_permutation``), so one that is not a
-permutation raises its typed error.  Functions that index entries in a loop
-then copy them with ``perm[:]``, an exact ``tuple``, since CPython
-specializes indexing for exact tuples only.
+permutation raises its typed error.  An argument that must be of some other
+kind (a step, a scenario, a class spec, a width policy, a text) is checked
+by the one kind rule, ``_check_kind``, which raises
+``InvalidParameterError``.  Functions that index entries in a loop then
+copy them with ``perm[:]``, an exact ``tuple``, since CPython specializes
+indexing for exact tuples only.
 
 Pattern containment reads, per pattern, a plan of which earlier entries
 bound each entry from below and above, and by how many values at least
@@ -136,8 +139,15 @@ def _as_permutation(perm: Sequence[int]) -> Permutation:
     return perm if isinstance(perm, Permutation) else Permutation(perm)
 
 
+def _check_kind(value: object, kind: type, what: str) -> None:
+    """The one rule for an argument that must be a ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
 def parse_one_line(text: str) -> Permutation:
     """Parse comma-separated one-line notation; "" is the empty permutation."""
+    _check_kind(text, str, "text")
     text = text.strip()
     if not text:
         return Permutation(())

@@ -41,12 +41,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add, attrgetter
+from itertools import compress
 from typing import Sequence
 
 from .errors import InvalidParameterError, NotSortedWindowError, WidthExceededError
-from .permutation import Permutation, _as_permutation, _check_size, _trusted
+from .permutation import Permutation, _as_permutation, _check_kind, _check_size, _trusted
 from .steps import (
     DupLossStep,
     _check_width,
@@ -87,9 +86,9 @@ class Scenario:
             steps = tuple(self.steps)
         except TypeError:
             raise InvalidParameterError(f"steps {self.steps!r} are not iterable") from None
-        if not all(map(isinstance, steps, repeat(DupLossStep))):
-            bad = next(s for s in steps if not isinstance(s, DupLossStep))
-            raise InvalidParameterError(f"step {bad!r} is not a DupLossStep")
+        for step in steps:
+            if not isinstance(step, DupLossStep):
+                raise InvalidParameterError(f"step {step!r} is not a DupLossStep")
         object.__setattr__(self, "steps", steps)
 
     @property
@@ -258,31 +257,23 @@ def bucket_scenario(target: Permutation, width_limit: int | float) -> Scenario:
     return Scenario(len(target), width_limit, tuple(phase1 + phase2))
 
 
-_start, _width = attrgetter("start"), attrgetter("width")
-
-
 def _check_steps(scenario: Scenario) -> None:
-    """Each step's width against the limit, then its window against n;
-    raises for the first offending step.  The maxima of the widths and of
-    the window ends are taken in C first, and only a scenario that fails
-    one of them is walked step by step to find that step."""
-    n, steps, limit = scenario.n, scenario.steps, scenario.width_limit
-    widths = list(map(_width, steps))
-    ends = map(add, map(_start, steps), widths)  # one past each window's end
-    if max(widths, default=0) <= limit and max(ends, default=0) <= n + 1:
-        return
-    for step in steps:
+    """Each step's width against the limit, then its window against n, in
+    one pass; raises for the first offending step.  ``_check_window`` runs
+    only for a window that ends past n, so it raises every time it runs."""
+    n, limit = scenario.n, scenario.width_limit
+    for step in scenario.steps:
         if step.width > limit:
             raise WidthExceededError(f"step width {step.width} exceeds limit {limit}")
-        _check_window(step, n)
+        if step.start + step.width > n + 1:
+            _check_window(step, n)
 
 
 def replay(scenario: Scenario) -> Permutation:
     """Fold the steps over identity(n), validating width and window bounds.
     Steps permute entries, so the result is wrapped without re-checking it.
     A ``scenario`` that is not a ``Scenario`` raises ``InvalidParameterError``."""
-    if not isinstance(scenario, Scenario):
-        raise InvalidParameterError(f"scenario must be a Scenario, got {scenario!r}")
+    _check_kind(scenario, Scenario, "scenario")
     _check_steps(scenario)
     work = list(range(1, scenario.n + 1))
     apply_steps_to_list(work, scenario.steps)

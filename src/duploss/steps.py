@@ -67,7 +67,14 @@ from .errors import (
     InvalidWidthError,
     WindowOutOfRangeError,
 )
-from .permutation import Permutation, _as_permutation, _check_size, _count_inversions, _trusted
+from .permutation import (
+    Permutation,
+    _as_permutation,
+    _check_kind,
+    _check_size,
+    _count_inversions,
+    _trusted,
+)
 
 __all__ = [
     "DupLossStep",
@@ -178,12 +185,6 @@ def _check_width(width_limit: int | float, least: int = 2) -> None:
         )
 
 
-def _check_step(step: DupLossStep) -> None:
-    """The one check that a step argument is a ``DupLossStep``."""
-    if not isinstance(step, DupLossStep):
-        raise InvalidParameterError(f"step must be a DupLossStep, got {step!r}")
-
-
 def _check_window(step: DupLossStep, n: int) -> None:
     if step.end > n:
         raise WindowOutOfRangeError(
@@ -274,7 +275,7 @@ def apply_step(perm: Permutation, step: DupLossStep) -> Permutation:
     ``InvalidParameterError``.
     """
     perm = _as_permutation(perm)
-    _check_step(step)
+    _check_kind(step, DupLossStep, "step")
     _check_window(step, len(perm))
     vals = list(perm.values)
     apply_step_to_list(vals, step)
@@ -475,7 +476,7 @@ def inversions_created(perm: Permutation, step: DupLossStep) -> int:
     a ``DupLossStep`` raises ``InvalidParameterError``.
     """
     perm = _as_permutation(perm)
-    _check_step(step)
+    _check_kind(step, DupLossStep, "step")
     _check_window(step, len(perm))
     lo = step.start - 1
     window = perm.values[lo : lo + step.width]

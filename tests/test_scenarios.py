@@ -205,6 +205,7 @@ RUN_CASES = {
     "non-rotation between": rotations(4, 1, [1, 4]) + [DupLossStep(7, 4, 0b0110)]
     + rotations(4, 1, [7, 10]),
     "whole size": rotations(20, 7, [1, 1]) + rotations(20, 19, [1]),
+    "single step ends at n": rotations(4, 1, [1]) + [DupLossStep(13, 8, 0b10110101)],
 }
 
 
@@ -270,10 +271,12 @@ class TestReplayRuns:
         late_width = rotations(4, 1, [1, 4]) + rotations(6, 1, [7])
         window_then_width = rotations(4, 1, [1, 4, 7, 10]) + rotations(6, 1, [1])
         both_in_one = rotations(4, 1, [1]) + rotations(6, 1, [9])
+        single_past_n = rotations(4, 1, [1]) + [DupLossStep(10, 4, 0b0110)]
         for steps, error in [
             (late_width, WidthExceededError),
             (window_then_width, WindowOutOfRangeError),
             (both_in_one, WidthExceededError),
+            (single_past_n, WindowOutOfRangeError),
         ]:
             sc = Scenario(12, 4, steps)
             assert outcome(replay, sc) == outcome(replay_step_by_step, sc)
@@ -292,6 +295,7 @@ class TestScenarioSteps:
         (((1, 2, 1),), "step (1, 2, 1) is not a DupLossStep"),
         ([DupLossStep(1, 2, 1), None], "step None is not a DupLossStep"),
         ("ab", "step 'a' is not a DupLossStep"),
+        ([DupLossStep(1, 2, 1), "x", None], "step 'x' is not a DupLossStep"),
         (5, "steps 5 are not iterable"),
     ])
     def test_rejects_what_is_not_a_step(self, steps, message):
