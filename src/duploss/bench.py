@@ -22,6 +22,7 @@ from .errors import InvalidParameterError, VerificationError
 from .permutation import (
     Permutation,
     _as_permutation,
+    _check_iterable,
     _check_kind,
     _check_size,
     _trusted,
@@ -183,7 +184,7 @@ def _bench_one(perm: Permutation, width: int, seed: int) -> BenchRow:
 
 
 def run_benchmark(
-    policy: WidthPolicy, sizes: list[int], samples: int, seed: int
+    policy: WidthPolicy, sizes: Iterable[int], samples: int, seed: int
 ) -> list[BenchRow]:
     """Bucket-scenario rows for each size: the reversed identity first, then
     ``samples`` seeded uniform permutations.  Every row is replay-verified and
@@ -191,12 +192,15 @@ def run_benchmark(
     _check_kind(policy, WidthPolicy, "policy")
     if type(samples) is not int or samples < 1:
         raise InvalidParameterError(f"samples must be an integer >= 1, got {samples!r}")
-    if not isinstance(sizes, Iterable) or any(type(n) is not int or n < 0 for n in sizes):
+    # read once, so that a one-shot iterator gives the check and the rows
+    # the same sizes
+    values = list(sizes) if isinstance(sizes, Iterable) else None
+    if values is None or any(type(n) is not int or n < 0 for n in values):
         raise InvalidParameterError(f"sizes must be integers >= 0, got {sizes!r}")
     if type(seed) is not int:
         raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
     rows = []
-    for n in sizes:
+    for n in values:
         width = policy.width_for(n)
         rows.append(_bench_one(reversed_identity(n), width, REVERSED_IDENTITY_SEED))
         for k in range(samples):
@@ -219,6 +223,7 @@ def rows_to_csv(rows: list[BenchRow], include_timings: bool = False) -> str:
     Timings are left blank unless requested, so identical seeds yield
     byte-identical output.
     """
+    _check_iterable(rows, "rows")
     lines = [CSV_VERSION_COMMENT, CSV_SCHEMA]
     for r in rows:
         *cells, wall = _cells(r, include_timings)
@@ -228,5 +233,6 @@ def rows_to_csv(rows: list[BenchRow], include_timings: bool = False) -> str:
 
 def rows_to_json(rows: list[BenchRow], include_timings: bool = False) -> str:
     """JSON mirror of the CSV schema."""
+    _check_iterable(rows, "rows")
     keys = CSV_SCHEMA.split(",")
     return json.dumps([dict(zip(keys, _cells(r, include_timings))) for r in rows], indent=2)

@@ -48,6 +48,7 @@ from .errors import (
 from .permutation import (
     Permutation,
     _as_permutation,
+    _check_iterable,
     _check_kind,
     _trusted,
     contains_pattern,
@@ -318,6 +319,7 @@ def is_antichain(patterns: frozenset[Permutation]) -> bool:
     ascending runs has at most r runs, so a pattern never has more descents
     than a permutation containing it.
     """
+    _check_iterable(patterns, "patterns")
     items = sorted(patterns, key=len)
     sizes = [len(p) for p in items]
     falls = [descent_count(p) for p in items]

@@ -16,10 +16,10 @@ A function given a sequence that is not a ``Permutation`` passes it through
 the constructor first (``_as_permutation``), so one that is not a
 permutation raises its typed error.  An argument that must be of some other
 kind (a step, a scenario, a class spec, a width policy, a text) is checked
-by the one kind rule, ``_check_kind``, which raises
-``InvalidParameterError``.  Functions that index entries in a loop then
-copy them with ``perm[:]``, an exact ``tuple``, since CPython specializes
-indexing for exact tuples only.
+by the one kind rule, ``_check_kind``, and a container of them by
+``_check_iterable``; both raise ``InvalidParameterError``.  Functions that
+index entries in a loop then copy them with ``perm[:]``, an exact
+``tuple``, since CPython specializes indexing for exact tuples only.
 
 Pattern containment reads, per pattern, a plan of which earlier entries
 bound each entry from below and above, and by how many values at least
@@ -29,9 +29,11 @@ earlier bound, so even the first entry has a range.  These value gaps hold
 only in a host of exactly 1..n, so a host or pattern that is not a
 ``Permutation`` goes through the ``Permutation`` constructor first.  Each
 pattern is compiled from its plan into a matcher with one nested loop per
-entry, split into chained functions of at most ``_MAX_NEST`` loops each,
-and held in the dict ``_matchers``, which drops its oldest entry first once
-it holds ``_MAX_MATCHERS``.
+entry, split into chained functions of at most ``_MAX_NEST`` loops each;
+a monotone pattern, k...1 or 1...k, is compiled instead into one pass over
+the host that keeps one tail per subsequence length (``_monotone_source``).
+Matchers are held in the dict ``_matchers``, which drops its oldest entry
+first once it holds ``_MAX_MATCHERS``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateValueError,
@@ -143,6 +145,12 @@ def _check_kind(value: object, kind: type, what: str) -> None:
     """The one rule for an argument that must be a ``kind``."""
     if not isinstance(value, kind):
         raise InvalidParameterError(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
+def _check_iterable(value: object, what: str) -> None:
+    """The same rule for an argument that must be iterable."""
+    if not isinstance(value, Iterable):
+        raise InvalidParameterError(f"{what} must be iterable, got {value!r}")
 
 
 def parse_one_line(text: str) -> Permutation:
@@ -313,19 +321,20 @@ def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
     matched at its floor and ceiling (see ``_pattern_plan``).  After every
     ``_MAX_NEST`` depths d the innermost body calls
     ``match{d}(h, n, i{d-1}, v0, ..., v{d-1})``, which holds the next depths.
-    For 321, v0 needs two smaller values after it, and v1 one:
+    For 231, v0 needs a smaller and a larger value after it, v1 lies above
+    v0 and v2 below it:
 
-    >>> print(_matcher_source(_pattern_plan(Permutation([3, 2, 1]))), end="")
+    >>> print(_matcher_source(_pattern_plan(Permutation([2, 3, 1]))), end="")
     def match(h):
         n = len(h)
         for i0 in range(n - 2):
             v0 = h[i0]
-            if 2 < v0:
+            if 1 < v0 < n:
                 for i1 in range(i0 + 1, n - 1):
                     v1 = h[i1]
-                    if 1 < v1 < v0:
+                    if v0 < v1:
                         for v2 in h[i1 + 1:]:
-                            if v2 < v1:
+                            if v2 < v0:
                                 return True
         return False
     """
@@ -352,6 +361,49 @@ def _matcher_source(plan: tuple[tuple[int, int, int, int], ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _monotone_source(k: int, descending: bool) -> str:
+    """The source of ``match(h)`` for the monotone pattern k...1 (when
+    ``descending``) or 1...k, k >= 1, on a host tuple of 1..n: one pass, by
+    Schensted's theorem that a host contains k...1 iff its longest
+    decreasing subsequence has length at least k.  Tail t_j is the largest
+    last entry of a decreasing subsequence of length j read so far, or 0
+    while there is none, so t_1 > t_2 > ... among those set.  A value above
+    t_j but below t_{j-1} extends a subsequence of length j - 1 to one of
+    length j that ends higher than t_j, so it replaces t_j; a value below
+    every t_1..t_{k-1} completes one of length k.  For 1...k the tails are the
+    smallest last entries of increasing subsequences, start at n + 1 and
+    compare by ``<``.  The sentinels 0 and n + 1 lie outside the values only
+    for a host of exactly 1..n.  For k = 1 there is no tail and the first
+    value is an occurrence.  Each test is its own ``if`` ending in
+    ``continue``, not an ``elif``: CPython's compiler nests an ``elif`` chain
+    and refuses one of about 3,000 branches, and this form has no nesting
+    at any k.
+
+    >>> print(_monotone_source(3, True), end="")
+    def match(h):
+        t1 = t2 = 0
+        for v in h:
+            if v > t1:
+                t1 = v
+                continue
+            if v > t2:
+                t2 = v
+                continue
+            return True
+        return False
+    """
+    tails = [f"t{j}" for j in range(1, k)]
+    op = ">" if descending else "<"
+    lines = ["def match(h):"]
+    if tails:
+        lines.append(f"    {' = '.join(tails)} = {'0' if descending else 'len(h) + 1'}")
+    lines.append("    for v in h:")
+    for t in tails:
+        lines += [f"        if v {op} {t}:", f"            {t} = v", "            continue"]
+    lines += ["        return True", "    return False"]
+    return "\n".join(lines) + "\n"
+
+
 # Compiled matchers by pattern, at most ``_MAX_MATCHERS`` of them; a miss
 # that finds the dict full drops the oldest entry first.
 _MAX_MATCHERS = 1024
@@ -364,10 +416,15 @@ def _matcher(pattern: Permutation) -> Callable[[tuple[int, ...]], bool]:
     functions it chains to in the same namespace, stored in ``_matchers``.
     Compiling takes tens to hundreds of microseconds, growing with the size,
     so ``contains_pattern`` calls this only for a pattern not held; a
-    matcher holds a few kilobytes.
+    matcher holds a few kilobytes.  A monotone pattern of size k >= 1 is
+    compiled from ``_monotone_source`` instead, one pass over the host.
     """
     namespace: dict = {}
-    source = _matcher_source(_pattern_plan(pattern))
+    k = len(pattern)
+    if k and pattern in (tuple(range(k, 0, -1)), tuple(range(1, k + 1))):
+        source = _monotone_source(k, pattern[0] == k)
+    else:
+        source = _matcher_source(_pattern_plan(pattern))
     exec(compile(source, f"<matcher of {pattern}>", "exec"), namespace)
     while len(_matchers) >= _MAX_MATCHERS:
         del _matchers[next(iter(_matchers))]
@@ -394,7 +451,9 @@ def contains_pattern(host: Sequence[int], pattern: Sequence[int]) -> bool:
     two comparisons, whatever the depth, and even depth 0 skips the values
     that cannot begin an occurrence.  Each pattern's plan is compiled once
     into a matcher with one nested loop per entry (see ``_matcher``) that
-    stops at the first full match; a held pattern costs one dict lookup.
+    stops at the first full match.  A monotone pattern, k...1 or 1...k,
+    takes one pass over the host instead, at most k - 1 comparisons per
+    value (see ``_monotone_source``).  A held pattern costs one dict lookup.
     The matcher gets ``host[:]``, an exact ``tuple``, whose indexing CPython
     specializes.
 

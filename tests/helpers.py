@@ -218,6 +218,17 @@ def backtrack_contains(host, pattern):
     return extend(0, 0)
 
 
+def longest_decreasing_length(vals):
+    """The length of a longest decreasing subsequence, by the quadratic
+    dynamic program: the longest ending at entry j is one more than the
+    longest ending at an earlier, larger entry.  The oracle of the one-pass
+    matchers of monotone patterns, which keep one tail per length."""
+    ending = []
+    for j, v in enumerate(vals):
+        ending.append(1 + max((ending[i] for i in range(j) if vals[i] > v), default=0))
+    return max(ending, default=0)
+
+
 def scan_minimal_forbidden_basis(spec, max_size):
     """Minimal forbidden patterns up to ``max_size``, by a scan of each S_n
     for the non-members all of whose one-point deletions are members.  The

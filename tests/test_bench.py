@@ -183,6 +183,12 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(WidthPolicy("full"), [4], samples=0, seed=0)
 
+    def test_sizes_from_a_generator_give_the_lists_rows(self):
+        listed = run_benchmark(WidthPolicy("full"), [4, 5], 1, 0)
+        generated = run_benchmark(WidthPolicy("full"), (n for n in [4, 5]), 1, 0)
+        assert len(listed) == 4
+        assert rows_to_csv(generated) == rows_to_csv(listed)
+
     @pytest.mark.parametrize("policy", ["constant:8", 8, None])
     def test_rejects_a_policy_that_is_not_a_width_policy(self, policy):
         with pytest.raises(InvalidParameterError, match="must be a WidthPolicy"):

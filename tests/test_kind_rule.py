@@ -14,6 +14,7 @@ from duploss import (
     basis_to_json,
     enumerate_class,
     identity,
+    is_antichain,
     parse_one_line,
     parse_width_policy,
     per_permutation_lower_bound,
@@ -76,6 +77,21 @@ WRONG_KINDS = {
         lambda: rows_to_json("x"),
         InvalidParameterError,
         "row must be a BenchRow, got 'x'",
+    ),
+    "rows_to_csv rows": (
+        lambda: rows_to_csv(5),
+        InvalidParameterError,
+        "rows must be iterable, got 5",
+    ),
+    "rows_to_json rows": (
+        lambda: rows_to_json(5),
+        InvalidParameterError,
+        "rows must be iterable, got 5",
+    ),
+    "is_antichain patterns": (
+        lambda: is_antichain(5),
+        InvalidParameterError,
+        "patterns must be iterable, got 5",
     ),
     "run_benchmark sizes": (
         lambda: run_benchmark(WidthPolicy("full"), 8, 1, 0),

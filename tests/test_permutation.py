@@ -36,6 +36,7 @@ from helpers import (
     descent_count_by_scan,
     fenwick_inversions,
     inversion_count,
+    longest_decreasing_length,
     permutations_st,
     rank_pattern,
     run_partition_by_scan,
@@ -399,14 +400,15 @@ class TestPatterns:
     def test_long_patterns_match_backtracking_oracle(self, k):
         """Patterns of one, two and three chained matcher functions, in hosts
         of sizes k - 1 to k + 3 and 30: one a pattern of the host by
-        construction, one drawn at random, and the host's own pattern with
-        two adjacent values swapped."""
+        construction, one drawn at random, the host's own pattern with two
+        adjacent values swapped, and the one-pass k...1 and 1...k."""
         rng = random.Random(k)
         answers = []
         for n in (k - 1, k, k + 1, k + 3, 30):
             for seed in range(4):
                 host = random_permutation(n, 100 * k + seed)
                 patterns = [Permutation(rng.sample(range(1, k + 1), k))]
+                patterns += [reversed_identity(k), identity(k)]
                 if k <= n:
                     own = rank_pattern([host[i] for i in sorted(rng.sample(range(n), k))])
                     patterns.append(Permutation(own))
@@ -418,6 +420,60 @@ class TestPatterns:
         assert True in answers and False in answers
         # every size is searched by generated code
         assert all(_matcher(p).__code__.co_filename == f"<matcher of {p}>" for p in patterns)
+
+    def test_monotone_patterns_match_backtracking_oracle_exhaustive(self):
+        """k...1 and 1...k for k = 1..8 against every host of S_0..S_7."""
+        patterns = [p for k in range(1, 9) for p in (reversed_identity(k), identity(k))]
+        for n in range(8):
+            for vals in itertools.permutations(range(1, n + 1)):
+                host = Permutation(vals)
+                for patt in patterns:
+                    assert contains_pattern(host, patt) == backtrack_contains(host, patt), (host, patt)
+
+    @pytest.mark.parametrize("k", [3, 6, 40])
+    def test_monotone_patterns_match_longest_subsequence_at_n_200(self, k):
+        """Hosts of size 200 that avoid k...1, as a merge of k - 1 increasing
+        runs, and hosts that contain it, with k...1 planted at random
+        positions; each also reversed, which turns 1...k into k...1."""
+        rng = random.Random(k)
+        n = 200
+        hosts = []
+        for _ in range(6):
+            # value v joins run label[v - 1]; the runs are interleaved at random
+            label = rng.sample(range(k - 1), k - 1) + rng.choices(range(k - 1), k=n - k + 1)
+            runs = [iter([v for v in range(1, n + 1) if label[v - 1] == r]) for r in range(k - 1)]
+            order = label[:]
+            rng.shuffle(order)
+            hosts.append((Permutation([next(runs[r]) for r in order]), False))
+            planted = sorted(rng.sample(range(1, n + 1), k), reverse=True)
+            rest = [v for v in range(1, n + 1) if v not in planted]
+            rng.shuffle(rest)
+            at = set(rng.sample(range(n), k))
+            hosts.append(
+                (Permutation([planted.pop(0) if i in at else rest.pop() for i in range(n)]), True)
+            )
+        for host, built_to_contain in hosts:
+            assert (longest_decreasing_length(host) >= k) is built_to_contain
+            for h in (host, Permutation(host[::-1])):
+                longest = longest_decreasing_length(h)
+                assert contains_pattern(h, reversed_identity(k)) == (longest >= k), (h, k)
+                assert contains_pattern(h[::-1], identity(k)) == (longest >= k), (h, k)
+
+    def test_monotone_patterns_skip_the_general_emitter(self, monkeypatch):
+        """Monotone patterns of sizes 1..9 are compiled without
+        ``_matcher_source``; 231 still goes through it."""
+
+        def refuse(plan):
+            raise LookupError("general emitter called")
+
+        monkeypatch.setattr(permutation, "_matcher_source", refuse)
+        monkeypatch.setattr(permutation, "_matchers", {})
+        host = random_permutation(12, 5)
+        for k in range(1, 10):
+            for patt in (reversed_identity(k), identity(k)):
+                assert contains_pattern(host, patt) == backtrack_contains(host, patt), patt
+        with pytest.raises(LookupError, match="general emitter called"):
+            contains_pattern(host, (2, 3, 1))
 
     def test_list_pattern_answers_as_its_tuple(self):
         for vals in itertools.permutations(range(1, 6)):
